@@ -7,7 +7,6 @@ from .equivalence import EquivVerdict, are_equivalent, canonicalize, ratfn_equiv
 from .exactnum import (
     Poly,
     RatFn,
-    Rational,
     Series,
     poly_gcd,
     poly_str,
@@ -52,7 +51,6 @@ __all__ = [
     "NotUnimodularError",
     "Poly",
     "RatFn",
-    "Rational",
     "SeifertPresentation",
     "Series",
     "adjugate",

@@ -40,20 +40,25 @@ def _load(path: str):
             text = fh.read()
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     try:
         return load_text(text)
     except InputFormatError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
+def _require_valid(path: str, pres: SeifertPresentation) -> None:
+    problems = validate(pres)
+    if problems:
+        raise _InputError(f"{path}: invalid presentation: " + "; ".join(problems))
+
+
 def _read_presentation(path: str) -> SeifertPresentation:
     kind, payload = _load(path)
     if kind != "presentation":
         raise _InputError(f"{path}: expected a presentation file (with 'seifert_matrix')")
-    problems = validate(payload)
-    if problems:
-        listing = "; ".join(problems)
-        raise _InputError(f"{path}: invalid presentation: {listing}")
+    _require_valid(path, payload)
     return payload
 
 
@@ -135,10 +140,8 @@ def cmd_equiv(args) -> int:
             raise _InputError("presentation inputs require -n ORDER")
         if args.order < 0:
             raise _InputError("order must be nonnegative")
-        for path, pres in ((args.file_a, payload_a), (args.file_b, payload_b)):
-            problems = validate(pres)
-            if problems:
-                raise _InputError(f"{path}: invalid presentation: " + "; ".join(problems))
+        _require_valid(args.file_a, payload_a)
+        _require_valid(args.file_b, payload_b)
         seq_a = gamma_seq(payload_a, args.order)
         seq_b = gamma_seq(payload_b, args.order)
     else:

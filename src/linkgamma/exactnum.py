@@ -2,7 +2,7 @@
 and reduced rational functions.
 
 Every value here is immutable and every operation is exact; there is no
-floating point on any code path.  ``Rational`` is the standard library
+floating point on any code path.  Rational scalars are the standard library
 ``fractions.Fraction``, which already maintains the reduced-form invariants
 (coprime numerator/denominator, positive denominator).  Coefficients are
 stored as plain ``int`` whenever the value is integral, so integer-heavy
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def _coeff(c):
@@ -88,7 +86,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else Poly((-other,)))
@@ -98,7 +96,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
+            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -222,7 +220,8 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(_coeff(c) for c in coeffs)
+        # from a list: tuple(generator) grows CPython's tuple free lists per call
+        cs = tuple([_coeff(c) for c in coeffs])
         if not cs:
             raise ValueError("a series carries at least its constant coefficient")
         self.coeffs = cs

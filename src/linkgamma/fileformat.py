@@ -21,6 +21,7 @@ integers; the sequence array must be nonempty.  Parse problems raise
 from __future__ import annotations
 
 import json
+import sys
 
 from .gamma import GammaSeq, SeifertPresentation
 
@@ -35,6 +36,12 @@ def parse_document(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise InputFormatError("parse error: arrays or objects nested too deeply") from exc
+    except ValueError as exc:  # the only other: an integer over the digit limit
+        raise InputFormatError(
+            f"parse error: integer with more than {sys.get_int_max_str_digits()} digits"
         ) from exc
     if not isinstance(doc, dict):
         raise InputFormatError("document must be a JSON object")

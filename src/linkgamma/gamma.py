@@ -23,11 +23,13 @@ Taylor coefficients at t = 1 of
 
     h(t) = lk23 + (t - 1) * v3^T (A - (t - 1) V)^-1 v2
 
-reproduce the gamma sequence.  :func:`h_closed_form` computes this via
-adjugate and determinant over polynomial matrices, a different route from
-the integer recursion above, and the test suites check coefficient-by-
-coefficient agreement between the two before anything relies on the
-closed form.
+reproduce the gamma sequence.  :func:`h_closed_form` computes this as a
+quotient of two polynomial determinants: with ``M = A - (t - 1) V``, the
+bordered matrix ``[[M, v2], [-(t - 1) v3^T, lk23]]`` has determinant
+``lk23 det M + (t - 1) v3^T adj(M) v2``, the numerator of h over ``det M``.
+That is a different route from the integer recursion above, and the test
+suites check coefficient-by-coefficient agreement between the two before
+anything relies on the closed form.
 
 Whether a given matrix-valid presentation is realized by an actual link is
 not decided here; validation checks exactly the conditions forced by the
@@ -38,12 +40,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
 
 from .exactnum import Poly, RatFn, ratfn_reduce
 from .polylin import (
     IntMatrix,
     IntVector,
-    adjugate,
     det,
     identity,
     int_inverse,
@@ -140,58 +142,50 @@ def _require_valid(p: SeifertPresentation) -> None:
         raise ValueError("invalid presentation: " + "; ".join(problems))
 
 
+def _recursion(p: SeifertPresentation):
+    """Validate ``p`` and form ``A^-1`` and ``B = A^-1 V`` once, then return
+    an iterator over ``u_k = B^(k-1) A^-1 v2`` for k = 1, 2, ..., one
+    ``mat_vec`` per step.  Every recursion value is a view of it:
+    ``gamma_k = u_k . v3`` and ``(V A^-1)^k v2 = V u_k``."""
+    _require_valid(p)
+    a_inv = int_inverse(intersection_form(p))
+    b = mat_mul(a_inv, p.seifert_matrix)
+    return accumulate(repeat(b), lambda u, m: mat_vec(m, u), initial=mat_vec(a_inv, p.v2))
+
+
 def derivative_class(p: SeifertPresentation, k: int) -> IntVector:
     """Homology class ``(V A^-1)^k v2`` of the k-fold derived second
     component in the surface complement."""
-    _require_valid(p)
+    vectors = _recursion(p)
     if k < 1:
         raise ValueError("derivative order k must be positive")
-    a_inv = int_inverse(intersection_form(p))
-    v = p.seifert_matrix
-    w = p.v2
-    for _ in range(k):
-        w = mat_vec(v, mat_vec(a_inv, w))
-    return w
+    return mat_vec(p.seifert_matrix, next(islice(vectors, k - 1, None)))
 
 
 def gamma_k(p: SeifertPresentation, k: int) -> int:
     """The k-th gamma invariant of the presentation (k = 0 is ``lk23``)."""
-    _require_valid(p)
+    vectors = _recursion(p)
     if k < 0:
         raise ValueError("gamma index must be nonnegative")
-    if k == 0:
-        return p.lk23
-    a_inv = int_inverse(intersection_form(p))
-    v = p.seifert_matrix
-    u = mat_vec(a_inv, p.v2)
-    for _ in range(k - 1):
-        u = mat_vec(a_inv, mat_vec(v, u))
-    return vec_dot(u, p.v3)
+    return vec_dot(next(islice(vectors, k - 1, None)), p.v3) if k else p.lk23
 
 
 def gamma_seq(p: SeifertPresentation, order: int) -> GammaSeq:
     """Gamma invariants 0..order in a single pass of the linear recursion
     (no repeated matrix powers)."""
-    _require_valid(p)
+    vectors = _recursion(p)
     if order < 0:
         raise ValueError("sequence order must be nonnegative")
-    entries = [p.lk23]
-    if order:
-        a_inv = int_inverse(intersection_form(p))
-        v = p.seifert_matrix
-        u = mat_vec(a_inv, p.v2)
-        for _ in range(order):
-            entries.append(vec_dot(u, p.v3))
-            u = mat_vec(a_inv, mat_vec(v, u))
-    return GammaSeq(tuple(entries))
+    return GammaSeq((p.lk23, *(vec_dot(u, p.v3) for u in islice(vectors, order))))
 
 
 def h_closed_form(p: SeifertPresentation) -> RatFn:
     """The rational function whose Taylor coefficients at t = 1 are the
-    gamma sequence:
+    gamma sequence, as a quotient of two determinants:
 
-        lk23 + (t - 1) * v3^T adjugate(A - (t-1)V) v2 / det(A - (t-1)V).
+        det([[M, v2], [-(t-1) v3^T, lk23]]) / det(M),   M = A - (t-1)V,
 
+    where the bordered numerator equals ``lk23 det M + (t-1) v3^T adj(M) v2``.
     The denominator evaluates to det(A) = 1 at t = 1, so the expansion
     center is never a pole for a valid presentation.
     """
@@ -200,22 +194,10 @@ def h_closed_form(p: SeifertPresentation) -> RatFn:
     v = p.seifert_matrix
     n = len(v)
     # entry of A - (t-1)V as a polynomial in t
-    m = tuple(
-        tuple(Poly((a[i][j] + v[i][j], -v[i][j])) for j in range(n))
-        for i in range(n)
-    )
-    d = det(m)
-    adj = adjugate(m)
-    pairing = Poly(())
-    for i in range(n):
-        if p.v3[i] == 0:
-            continue
-        for j in range(n):
-            if p.v2[j] == 0:
-                continue
-            pairing = pairing + adj[i][j] * (p.v3[i] * p.v2[j])
-    num = d * p.lk23 + Poly((-1, 1)) * pairing
-    return ratfn_reduce(num, d)
+    m = [[Poly((a[i][j] + v[i][j], -v[i][j])) for j in range(n)] for i in range(n)]
+    bordered = [row + [p.v2[i]] for i, row in enumerate(m)]
+    bordered.append([Poly((e, -e)) for e in p.v3] + [p.lk23])
+    return ratfn_reduce(det(bordered), det(m))
 
 
 def _symplectic(n: int) -> IntMatrix:

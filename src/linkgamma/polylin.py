@@ -6,7 +6,8 @@ either arbitrary-precision ``int`` or :class:`~linkgamma.exactnum.Poly`
 use fraction-free Bareiss elimination with exact division, so integer
 matrices yield integers and polynomial matrices yield polynomials, with
 no rational intermediates.  Polynomial matrices are never inverted
-directly: callers combine :func:`adjugate` and :func:`det` to stay inside
+directly: a pairing ``c^T adj(M) b`` is read off one bordered determinant,
+``det([[M, b], [-c^T, d]]) = d det(M) + c^T adj(M) b``, which stays inside
 polynomial arithmetic.
 """
 

@@ -15,11 +15,10 @@ import math
 from .gamma import GammaSeq
 
 
-def _binom(m: int, j: int) -> int:
-    # C(m, j) with the convention that out-of-range indices give 0
-    if j < 0 or j > m:
-        return 0
-    return math.comb(m, j)
+def _mixed(entries, p: int, l: int) -> int:
+    # the one binomial kernel: (-1)^l * sum_j C(l-1, j-1) entries[p+j], 1 <= j <= l
+    acc = sum(math.comb(l - 1, j) * entries[p + 1 + j] for j in range(l))
+    return -acc if l % 2 else acc
 
 
 def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
@@ -50,14 +49,11 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     """Gamma sequence after swapping the second and third components.
 
     Entry 0 is unchanged (linking number is symmetric); entry k becomes
-    ``(-1)^k * sum_j C(k-1, j-1) s[j]`` for ``1 <= j <= k``.  The transform
-    is an involution.
+    ``(-1)^k * sum_j C(k-1, j-1) s[j]`` for ``1 <= j <= k``, which is
+    ``mixed_gamma0(s, 0, k)``.  The transform is an involution.
     """
-    out = [s.entries[0]]
-    for k in range(1, s.order + 1):
-        acc = sum(_binom(k - 1, j - 1) * s.entries[j] for j in range(1, k + 1))
-        out.append(-acc if k % 2 else acc)
-    return GammaSeq(tuple(out))
+    entries = s.entries
+    return GammaSeq((entries[0], *(_mixed(entries, 0, k) for k in range(1, s.order + 1))))
 
 
 def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:
@@ -72,14 +68,14 @@ def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:
         raise ValueError(
             f"insufficient sequence order: need at least {p + l}, have {s.order}"
         )
-    acc = sum(_binom(l - 1, j - 1) * s.entries[p + j] for j in range(1, l + 1))
-    return -acc if l % 2 else acc
+    return _mixed(s.entries, p, l)
 
 
 def beta_from_gamma(s: GammaSeq, k: int) -> int:
     """The k-th self-linking beta invariant of a 2-component link, read
     off the gamma sequence of the link augmented by a 0-framed push-off of
-    its second component: ``(-1)^k * sum_j C(k-1, j-1) s[k+j]``.
+    its second component: ``(-1)^k * sum_j C(k-1, j-1) s[k+j]``, which is
+    ``mixed_gamma0(s, k, k)``.
 
     The input must be the gamma sequence of that augmented link, computed
     from a fixed Seifert surface.  The formula reads fixed positions of
@@ -93,5 +89,4 @@ def beta_from_gamma(s: GammaSeq, k: int) -> int:
         raise ValueError(
             f"insufficient sequence order: need at least {2 * k}, have {s.order}"
         )
-    acc = sum(_binom(k - 1, j - 1) * s.entries[k + j] for j in range(1, k + 1))
-    return -acc if k % 2 else acc
+    return _mixed(s.entries, k, k)

@@ -1,7 +1,10 @@
 import json
 import shutil
+import sys
 from importlib.resources import files as resource_files
 from pathlib import Path
+
+import pytest
 
 from linkgamma.cli import main
 from linkgamma.fileformat import sequence_from_doc
@@ -105,6 +108,28 @@ def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "gamma", "-n", "3", str(tmp_path / "absent.json"))
     assert code == 2
     assert "absent.json" in err
+
+
+DEPTH = 2 * sys.getrecursionlimit()
+
+
+@pytest.mark.parametrize(
+    "content, diagnostic",
+    [
+        (b'{"gamma": [1, 2, 3], "name": "\xff"}', "UTF-8"),
+        (('{"gamma": ' + "[" * DEPTH + "]" * DEPTH + "}").encode(), "nested too deeply"),
+        (b'{"gamma": [1, ' + b"9" * (sys.get_int_max_str_digits() + 1) + b"]}", "digits"),
+    ],
+    ids=["non-utf8", "deep-nesting", "over-digit-limit"],
+)
+def test_undecodable_document_exits_2(capsys, tmp_path, content, diagnostic):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "milnor", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "bad.json" in err and diagnostic in err
 
 
 # --------------------------------------------------------------------- cmd: h

@@ -12,7 +12,7 @@ from linkgamma.gamma import (
     intersection_form,
     validate,
 )
-from linkgamma.polylin import int_inverse, mat_vec, vec_dot
+from linkgamma.polylin import adjugate, det, int_inverse, mat_vec, vec_dot
 
 FIX = SeifertPresentation(1, ((0, 2), (1, 0)), (1, 0), (0, 1), 1)
 
@@ -177,10 +177,30 @@ def test_h_denominator_never_vanishes_at_center():
 
 
 def test_h_expansion_matches_iterative_path():
-    # two fully independent computation routes agree coefficientwise
-    for p in corpus(40):
-        expansion = series_expand_at_one(h_closed_form(p), 12)
-        assert expansion.coeffs == gamma_seq(p, 12).entries
+    # two fully independent computation routes agree coefficientwise, past the
+    # 2n + 1 terms that pin down an h of numerator and denominator degree <= n = 2g
+    high_genus = [gen_presentation(seed, genus, 3) for seed in range(3) for genus in (4, 5)]
+    for p in corpus(40) + high_genus:
+        order = max(12, 4 * p.genus + 2)
+        expansion = series_expand_at_one(h_closed_form(p), order)
+        assert expansion.coeffs == gamma_seq(p, order).entries
+
+
+def test_h_matches_adjugate_formula():
+    # reference: lk23 det M + (t-1) sum_ij v3_i adj(M)_ij v2_j over det M
+    high_genus = [gen_presentation(seed, 4, 2) for seed in range(2)]
+    for p in corpus(9) + high_genus:
+        a = intersection_form(p)
+        v = p.seifert_matrix
+        n = len(v)
+        m = [[Poly((a[i][j] + v[i][j], -v[i][j])) for j in range(n)] for i in range(n)]
+        adj = adjugate(m)
+        pairing = Poly(())
+        for i in range(n):
+            for j in range(n):
+                pairing = pairing + adj[i][j] * (p.v3[i] * p.v2[j])
+        d = det(m)
+        assert h_closed_form(p) == ratfn_reduce(d * p.lk23 + Poly((-1, 1)) * pairing, d)
 
 
 # ----------------------------------------------------------- gen_presentation
