@@ -4,8 +4,8 @@ Two truncated sequences represent the same class when one is carried to
 the other by an integer power of the shift-plus-identity operator; two
 rational functions represent the same class when they differ by an integer
 power of t.  Both directions of the shift are admitted (the operator is a
-bijection on sequences), the negative direction via the inverse recurrence
-rather than a closed binomial formula.
+bijection on sequences); a negative step is a plain prefix sum of the
+sign-alternated sequence ``(-1)^k s[k]``.
 
 A pair of identically zero truncations is reported as *indeterminate*, not
 equivalent: a truncation cannot distinguish the zero class from a class

@@ -21,7 +21,6 @@ integers; the sequence array must be nonempty.  Parse problems raise
 from __future__ import annotations
 
 import json
-import sys
 
 from .gamma import GammaSeq, SeifertPresentation
 
@@ -30,19 +29,28 @@ class InputFormatError(ValueError):
     """A document failed to parse or violated the file schema."""
 
 
+# CPython's default limit on int <-> str conversion; input is held to it
+# even in a process that lifted the limit to print large exact results.
+_MAX_INPUT_DIGITS = 4300
+
+
+def _parse_int(token: str) -> int:
+    if len(token) - token.startswith("-") > _MAX_INPUT_DIGITS:
+        raise InputFormatError(
+            f"parse error: integer with more than {_MAX_INPUT_DIGITS} digits"
+        )
+    return int(token)
+
+
 def parse_document(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
         raise InputFormatError("parse error: arrays or objects nested too deeply") from exc
-    except ValueError as exc:  # the only other: an integer over the digit limit
-        raise InputFormatError(
-            f"parse error: integer with more than {sys.get_int_max_str_digits()} digits"
-        ) from exc
     if not isinstance(doc, dict):
         raise InputFormatError("document must be a JSON object")
     return doc

@@ -13,6 +13,8 @@ polynomial arithmetic.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .exactnum import Poly, poly_exact_div
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -49,11 +51,11 @@ def mat_mul(a, b):
 
 
 def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def vec_dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _square_rows(m, what):

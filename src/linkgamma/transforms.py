@@ -11,6 +11,8 @@ than returning a silently shortened sequence.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import add, neg
 
 from .gamma import GammaSeq
 
@@ -23,25 +25,23 @@ def _mixed(entries, p: int, l: int) -> int:
 
 def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     """Apply the shift-plus-identity operator n times (entry k becomes
-    ``s[k] + s[k-1]``).  Negative n inverts: the operator is a bijection on
-    sequences, with preimage ``b[0] = a[0], b[k] = a[k] - b[k-1]``.  Entry k
-    of the result depends only on entries up to k, so the truncation order
-    is preserved."""
+    ``s[k] + s[k-1]``); each forward step is one pass adding the list to
+    itself offset by one.  Negative n inverts: the operator is a bijection
+    on sequences, with preimage ``b[0] = a[0], b[k] = a[k] - b[k-1]``.  In
+    the sign-alternated form ``c[k] = (-1)^k s[k]`` that preimage is a
+    plain prefix sum, so the signs are flipped once, |n| prefix sums are
+    taken, and the signs are flipped back.  Entry k of the result depends
+    only on entries up to k, so the truncation order is preserved."""
     entries = list(s.entries)
     if n >= 0:
         for _ in range(n):
-            entries = [
-                entries[k] + (entries[k - 1] if k else 0)
-                for k in range(len(entries))
-            ]
+            # slice assignment consumes the map in full before it writes
+            entries[1:] = map(add, entries[1:], entries)
     else:
+        entries[1::2] = map(neg, entries[1::2])
         for _ in range(-n):
-            out = []
-            prev = 0
-            for a in entries:
-                prev = a - prev
-                out.append(prev)
-            entries = out
+            entries = list(accumulate(entries))
+        entries[1::2] = map(neg, entries[1::2])
     return GammaSeq(tuple(entries))
 
 
@@ -51,9 +51,19 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     Entry 0 is unchanged (linking number is symmetric); entry k becomes
     ``(-1)^k * sum_j C(k-1, j-1) s[j]`` for ``1 <= j <= k``, which is
     ``mixed_gamma0(s, 0, k)``.  The transform is an involution.
+
+    All entries come from one forward-sum table: row 0 is ``s[1:]`` and
+    row m+1 adds row m to itself offset by one, so entry i of row m is
+    ``sum_j C(m, j) s[i+1+j]`` and entry k is ``(-1)^k`` times the head of
+    row k-1.  That is about order^2/2 additions and no binomials.
     """
-    entries = s.entries
-    return GammaSeq((entries[0], *(_mixed(entries, 0, k) for k in range(1, s.order + 1))))
+    out = [s.entries[0]]
+    row = list(s.entries[1:])
+    while row:
+        out.append(row[0])
+        row = list(map(add, row, row[1:]))
+    out[1::2] = map(neg, out[1::2])
+    return GammaSeq(tuple(out))
 
 
 def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:

@@ -68,6 +68,21 @@ def test_gamma_machine_output_reingests(capsys, tmp_path):
     assert out.strip() == "1 1 2 4 8"
 
 
+@pytest.mark.parametrize("machine", [False, True], ids=["plain", "machine"])
+def test_gamma_prints_entries_over_the_digit_limit(capsys, machine):
+    limit = sys.get_int_max_str_digits()
+    flags = ["--machine"] if machine else []
+    code, out, err = run(capsys, *flags, "gamma", "-n", "14400", POWERS)
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    last = json.loads(out, parse_int=str)["gamma"][-1] if machine else out.split()[-1]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert last == str(2**14399)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_gamma_rejects_sequence_file(capsys):
     code, _, err = run(capsys, "gamma", "-n", "3", str(FIXTURES / "unit-step.json"))
     assert code == 2

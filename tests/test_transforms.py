@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from linkgamma.exactnum import Series, series_compose
 from linkgamma.gamma import GammaSeq
@@ -39,6 +42,29 @@ def test_shift_preserves_order_and_inverts():
             assert apply_shift(shifted, -n) == s
 
 
+def binom(n, j):
+    # generalized binomial coefficient, also for negative n
+    return math.comb(n, j) if n >= 0 else (-1) ** j * math.comb(j - n - 1, j)
+
+
+def sequences(max_order):
+    return st.lists(st.integers(), min_size=1, max_size=max_order + 1).map(
+        lambda e: GammaSeq(tuple(e))
+    )
+
+
+@given(s=sequences(40), n=st.integers(-40, 40))
+@example(s=GammaSeq((1,)), n=-1)
+@example(s=GammaSeq((2, -3)), n=2)
+@example(s=GammaSeq(tuple(range(40, -1, -1))), n=-40)
+@example(s=GammaSeq(tuple(range(-19, 21))), n=39)
+def test_shift_matches_closed_binomial_formula(s, n):
+    # T^n multiplies the generating function by (1+x)^n
+    e = s.entries
+    want = tuple(sum(binom(n, j) * e[k - j] for j in range(k + 1)) for k in range(len(e)))
+    assert apply_shift(s, n).entries == want
+
+
 # ------------------------------------------------------------------- swap_seq
 
 
@@ -65,6 +91,17 @@ def test_swap_matches_generating_function_substitution():
         tail = Series((0,) + s.entries[1:])
         swapped = swap_seq(s)
         assert series_compose(tail, MOBIUS, 16) == Series((0,) + swapped.entries[1:])
+
+
+@given(s=sequences(60))
+@example(s=GammaSeq((5,)))
+@example(s=GammaSeq((5, -7)))
+def test_swap_entries_match_mixed_values(s):
+    swapped = swap_seq(s)
+    assert swapped.order == s.order
+    assert swapped.entries[0] == s.entries[0]
+    for k in range(1, s.order + 1):
+        assert swapped.entries[k] == mixed_gamma0(s, 0, k)
 
 
 # --------------------------------------------------------------- mixed_gamma0
