@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import selftest
 from .equivalence import DISTINCT, EQUIVALENT, are_equivalent
 from .exactnum import RatFn, poly_str, series_expand_at_one
 from .fileformat import InputFormatError, load_text, sequence_to_doc
@@ -239,6 +238,8 @@ def cmd_milnor(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
+
     healthy = selftest.run(fixtures_dir=args.fixtures, machine=args.machine) == 0
     return EXIT_OK if healthy else EXIT_SELFTEST_FAILED
 

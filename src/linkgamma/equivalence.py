@@ -15,10 +15,8 @@ certificates are issued.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactnum import RatFn, power_of_t_quotient
-from .gamma import GammaSeq
+from .gamma import GammaSeq, Record
 from .transforms import apply_shift
 
 EQUIVALENT = "equivalent"
@@ -26,8 +24,7 @@ DISTINCT = "distinct"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(Record):
     """Outcome of a sequence comparison.
 
     ``equivalent`` carries the shift exponent taking the first sequence to
@@ -35,9 +32,11 @@ class EquivVerdict:
     smallest index by which every admissible shift has already failed.
     """
 
-    kind: str
-    shift: int | None = None
-    witness_index: int | None = None
+    __slots__ = ("kind", "shift", "witness_index")
+
+    def __init__(self, kind: str, shift: int | None = None,
+                 witness_index: int | None = None):
+        self._set(kind, shift, witness_index)
 
     @classmethod
     def equivalent(cls, n: int) -> "EquivVerdict":

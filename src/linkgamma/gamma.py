@@ -39,7 +39,6 @@ algebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 
 from .exactnum import Poly, RatFn, ratfn_reduce
@@ -56,39 +55,71 @@ from .polylin import (
 )
 
 
-@dataclass(frozen=True)
-class SeifertPresentation:
+class Record:
+    """Immutable value with the fields named in ``__slots__``, in order.
+
+    Subclasses set their fields once, in ``__init__`` through ``_set``;
+    after that, assigning or deleting an attribute raises
+    ``AttributeError``.  Equality and hashing compare the field
+    values of two records of the same class, ``repr`` shows every field,
+    and copying and pickling rebuild the record through its constructor.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SeifertPresentation(Record):
     """Homological data of a 3-component link with distinguished component."""
 
-    genus: int
-    seifert_matrix: IntMatrix
-    v2: IntVector
-    v3: IntVector
-    lk23: int
-    name: str | None = None
+    __slots__ = ("genus", "seifert_matrix", "v2", "v3", "lk23", "name")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "seifert_matrix", tuple(tuple(row) for row in self.seifert_matrix)
-        )
-        object.__setattr__(self, "v2", tuple(self.v2))
-        object.__setattr__(self, "v3", tuple(self.v3))
+    def __init__(self, genus: int, seifert_matrix: IntMatrix, v2: IntVector,
+                 v3: IntVector, lk23: int, name: str | None = None):
+        matrix = tuple(tuple(row) for row in seifert_matrix)
+        self._set(genus, matrix, tuple(v2), tuple(v3), lk23, name)
 
 
-@dataclass(frozen=True)
-class GammaSeq:
+class GammaSeq(Record):
     """Truncated gamma sequence; ``entries[k]`` is the k-th invariant."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
+    def __init__(self, entries: tuple[int, ...]):
+        entries = tuple(entries)
         if not entries:
             raise ValueError("a gamma sequence has at least its order-0 entry")
         for e in entries:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise TypeError("gamma entries must be integers")
-        object.__setattr__(self, "entries", entries)
+        self._set(entries)
 
     @property
     def order(self) -> int:

@@ -15,19 +15,18 @@ generators, and the gcd chain is unchanged under that move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .gamma import GammaSeq
+from .gamma import GammaSeq, Record
 
 
-@dataclass(frozen=True)
-class MilnorResidue:
+class MilnorResidue(Record):
     """Entry ``index`` reduced modulo ``modulus``; modulus 0 means the
     residue is the exact integer value."""
 
-    index: int
-    modulus: int
-    residue: int
+    __slots__ = ("index", "modulus", "residue")
+
+    def __init__(self, index: int, modulus: int, residue: int):
+        self._set(index, modulus, residue)
 
 
 def milnor_residues(s: GammaSeq) -> list[MilnorResidue]:

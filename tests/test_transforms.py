@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from linkgamma.exactnum import Series, series_compose
 from linkgamma.gamma import GammaSeq
-from linkgamma.transforms import apply_shift, beta_from_gamma, mixed_gamma0, swap_seq
+from linkgamma.transforms import (
+    _SHIFT_STEPS_PER_INDEX,
+    apply_shift,
+    beta_from_gamma,
+    mixed_gamma0,
+    swap_seq,
+)
 
 MOBIUS = Series((0,) + (-1, 1) * 8)
 
@@ -47,6 +53,11 @@ def binom(n, j):
     return math.comb(n, j) if n >= 0 else (-1) ** j * math.comb(j - n - 1, j)
 
 
+def binomial_shift(e, n):
+    # T^n multiplies the generating function by (1+x)^n
+    return tuple(sum(binom(n, j) * e[k - j] for j in range(k + 1)) for k in range(len(e)))
+
+
 def sequences(max_order):
     return st.lists(st.integers(), min_size=1, max_size=max_order + 1).map(
         lambda e: GammaSeq(tuple(e))
@@ -59,10 +70,17 @@ def sequences(max_order):
 @example(s=GammaSeq(tuple(range(40, -1, -1))), n=-40)
 @example(s=GammaSeq(tuple(range(-19, 21))), n=39)
 def test_shift_matches_closed_binomial_formula(s, n):
-    # T^n multiplies the generating function by (1+x)^n
-    e = s.entries
-    want = tuple(sum(binom(n, j) * e[k - j] for j in range(k + 1)) for k in range(len(e)))
-    assert apply_shift(s, n).entries == want
+    assert apply_shift(s, n).entries == binomial_shift(s.entries, n)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 30])
+def test_shift_step_and_binomial_paths_meet_at_the_threshold(order):
+    # |n| up to the edge takes the steps, beyond it the binomial sum
+    s = rand_seq(random.Random(order), order)
+    edge = _SHIFT_STEPS_PER_INDEX * order
+    for n in (edge - 1, edge, edge + 1, edge + 2, 10**12 + 7):
+        for signed in (n, -n):
+            assert apply_shift(s, signed).entries == binomial_shift(s.entries, signed)
 
 
 # ------------------------------------------------------------------- swap_seq
