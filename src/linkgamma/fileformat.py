@@ -106,19 +106,6 @@ def sequence_from_doc(doc: dict) -> tuple[GammaSeq, str | None]:
     return GammaSeq(entries), _name(doc)
 
 
-def presentation_to_doc(p: SeifertPresentation) -> dict:
-    doc = {
-        "genus": p.genus,
-        "seifert_matrix": [list(row) for row in p.seifert_matrix],
-        "v2": list(p.v2),
-        "v3": list(p.v3),
-        "lk23": p.lk23,
-    }
-    if p.name is not None:
-        doc["name"] = p.name
-    return doc
-
-
 def sequence_to_doc(seq: GammaSeq, name: str | None = None) -> dict:
     doc = {"gamma": list(seq.entries)}
     if name is not None:

@@ -27,6 +27,9 @@ reproduce the gamma sequence.  :func:`h_closed_form` computes this as a
 quotient of two polynomial determinants: with ``M = A - (t - 1) V``, the
 bordered matrix ``[[M, v2], [-(t - 1) v3^T, lk23]]`` has determinant
 ``lk23 det M + (t - 1) v3^T adj(M) v2``, the numerator of h over ``det M``.
+One fraction-free elimination of the bordered matrix yields both: with
+its pivots taken from the rows of ``M`` only, ``det M`` is its last
+leading pivot.
 That is a different route from the integer recursion above, and the test
 suites check coefficient-by-coefficient agreement between the two before
 anything relies on the closed form.
@@ -45,6 +48,7 @@ from .exactnum import Poly, RatFn, ratfn_reduce
 from .polylin import (
     IntMatrix,
     IntVector,
+    bordered_det,
     det,
     identity,
     int_inverse,
@@ -141,10 +145,15 @@ def validate(p: SeifertPresentation) -> list[str]:
     n = len(v)
     if not isinstance(p.genus, int) or p.genus < 1:
         problems.append(f"genus must be a positive integer, got {p.genus!r}")
-    if n == 0 or any(len(row) != n for row in v):
-        shape = f"{n}x{len(v[0]) if v else 0}"
-        problems.append(f"seifert_matrix must be square, got shape {shape}")
+    if n == 0:
+        problems.append("seifert_matrix must be square, got shape 0x0")
         return problems
+    for i, row in enumerate(v):
+        if len(row) != n:
+            problems.append(
+                f"seifert_matrix must be square: row {i} has length {len(row)}, expected {n}"
+            )
+            return problems
     for row in v:
         for e in row:
             if not isinstance(e, int) or isinstance(e, bool):
@@ -217,8 +226,12 @@ def h_closed_form(p: SeifertPresentation) -> RatFn:
         det([[M, v2], [-(t-1) v3^T, lk23]]) / det(M),   M = A - (t-1)V,
 
     where the bordered numerator equals ``lk23 det M + (t-1) v3^T adj(M) v2``.
-    The denominator evaluates to det(A) = 1 at t = 1, so the expansion
-    center is never a pole for a valid presentation.
+    Both come from one fraction-free elimination of the bordered matrix
+    (:func:`~linkgamma.polylin.bordered_det`): its pivots are taken from the
+    rows of M only, which is always possible because det M is nonzero, so
+    det M is its last leading pivot.  The denominator evaluates to
+    det(A) = 1 at t = 1, so the expansion center is never a pole for a
+    valid presentation.
     """
     _require_valid(p)
     a = intersection_form(p)
@@ -226,9 +239,8 @@ def h_closed_form(p: SeifertPresentation) -> RatFn:
     n = len(v)
     # entry of A - (t-1)V as a polynomial in t
     m = [[Poly((a[i][j] + v[i][j], -v[i][j])) for j in range(n)] for i in range(n)]
-    bordered = [row + [p.v2[i]] for i, row in enumerate(m)]
-    bordered.append([Poly((e, -e)) for e in p.v3] + [p.lk23])
-    return ratfn_reduce(det(bordered), det(m))
+    den, num = bordered_det(m, p.v2, [Poly((e, -e)) for e in p.v3], p.lk23)
+    return ratfn_reduce(num, den)
 
 
 def _symplectic(n: int) -> IntMatrix:

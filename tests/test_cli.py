@@ -119,6 +119,17 @@ def test_invalid_presentation_lists_violations(capsys, tmp_path):
     assert "det(V - V^T)" in err
 
 
+def test_ragged_matrix_names_the_row(capsys, tmp_path):
+    path = write(
+        tmp_path,
+        "ragged.json",
+        {"genus": 1, "seifert_matrix": [[0, 1], [0]], "v2": [1, 0], "v3": [0, 1], "lk23": 0},
+    )
+    code, out, err = run(capsys, "h", path)
+    assert code == 2 and out == ""
+    assert "row 1 has length 1, expected 2" in err
+
+
 def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "gamma", "-n", "3", str(tmp_path / "absent.json"))
     assert code == 2

@@ -12,7 +12,7 @@ from linkgamma.gamma import (
     intersection_form,
     validate,
 )
-from linkgamma.polylin import adjugate, det, int_inverse, mat_vec, vec_dot
+from linkgamma.polylin import adjugate, bordered_det, det, int_inverse, mat_vec, vec_dot
 
 FIX = SeifertPresentation(1, ((0, 2), (1, 0)), (1, 0), (0, 1), 1)
 
@@ -47,6 +47,13 @@ def test_validate_non_unit_determinant():
     p = SeifertPresentation(1, ((0, 2), (0, 0)), (1, 0), (0, 1), 0)
     problems = validate(p)
     assert any("det(V - V^T) = 4" in msg for msg in problems)
+
+
+def test_validate_ragged_matrix_names_the_row():
+    p = SeifertPresentation(1, ((0, 1), (0,)), (1, 0), (0, 1), 0)
+    assert validate(p) == ["seifert_matrix must be square: row 1 has length 1, expected 2"]
+    p = SeifertPresentation(1, ((0, 1, 0), (0, 0, 0)), (1, 0), (0, 1), 0)
+    assert validate(p) == ["seifert_matrix must be square: row 0 has length 3, expected 2"]
 
 
 def test_validate_vector_lengths_and_genus():
@@ -180,20 +187,26 @@ def test_h_expansion_matches_iterative_path():
     # two fully independent computation routes agree coefficientwise, past the
     # 2n + 1 terms that pin down an h of numerator and denominator degree <= n = 2g
     high_genus = [gen_presentation(seed, genus, 3) for seed in range(3) for genus in (4, 5)]
+    high_genus += [gen_presentation(seed, genus, 2) for seed in range(2) for genus in (6, 7, 8)]
     for p in corpus(40) + high_genus:
         order = max(12, 4 * p.genus + 2)
         expansion = series_expand_at_one(h_closed_form(p), order)
         assert expansion.coeffs == gamma_seq(p, order).entries
 
 
+def pencil(p):
+    # M = A - (t-1)V as a polynomial matrix in t
+    a, v = intersection_form(p), p.seifert_matrix
+    n = len(v)
+    return [[Poly((a[i][j] + v[i][j], -v[i][j])) for j in range(n)] for i in range(n)]
+
+
 def test_h_matches_adjugate_formula():
     # reference: lk23 det M + (t-1) sum_ij v3_i adj(M)_ij v2_j over det M
     high_genus = [gen_presentation(seed, 4, 2) for seed in range(2)]
     for p in corpus(9) + high_genus:
-        a = intersection_form(p)
-        v = p.seifert_matrix
-        n = len(v)
-        m = [[Poly((a[i][j] + v[i][j], -v[i][j])) for j in range(n)] for i in range(n)]
+        m = pencil(p)
+        n = len(m)
         adj = adjugate(m)
         pairing = Poly(())
         for i in range(n):
@@ -201,6 +214,29 @@ def test_h_matches_adjugate_formula():
                 pairing = pairing + adj[i][j] * (p.v3[i] * p.v2[j])
         d = det(m)
         assert h_closed_form(p) == ratfn_reduce(d * p.lk23 + Poly((-1, 1)) * pairing, d)
+
+
+def test_h_elimination_swaps_on_zero_diagonal():
+    # V with a zero diagonal gives M a zero diagonal, so the elimination in
+    # h_closed_form must swap rows; its det M and numerator still match det
+    zero_diagonal = [FIX]
+    for seed in range(4):
+        q = gen_presentation(seed, 1 + seed % 3, 3)
+        v = tuple(
+            tuple(0 if i == j else e for j, e in enumerate(row))
+            for i, row in enumerate(q.seifert_matrix)
+        )
+        zero_diagonal.append(SeifertPresentation(q.genus, v, q.v2, q.v3, q.lk23))
+    for p in zero_diagonal:
+        assert validate(p) == []
+        m = pencil(p)
+        assert not m[0][0]
+        c = [Poly((e, -e)) for e in p.v3]
+        den, num = bordered_det(m, p.v2, c, p.lk23)
+        assert den == det(m)
+        assert num == det([row + [p.v2[i]] for i, row in enumerate(m)] + [c + [p.lk23]])
+        order = 4 * p.genus + 2
+        assert series_expand_at_one(h_closed_form(p), order).coeffs == gamma_seq(p, order).entries
 
 
 # ----------------------------------------------------------- gen_presentation

@@ -6,6 +6,7 @@ from linkgamma.exactnum import Poly
 from linkgamma.polylin import (
     NotUnimodularError,
     adjugate,
+    bordered_det,
     det,
     identity,
     int_inverse,
@@ -50,6 +51,13 @@ def rand_unimodular(rng, n):
         shear[i][j] = rng.choice((-2, -1, 1, 2))
         m = mat_mul(m, tuple(tuple(r) for r in shear))
     return m
+
+
+def rand_signed_unimodular(rng, n):
+    # rows shuffled: determinant +1 or -1, and zero pivots that force row swaps
+    rows = list(rand_unimodular(rng, n))
+    rng.shuffle(rows)
+    return tuple(rows)
 
 
 # ------------------------------------------------------------------------ det
@@ -98,6 +106,43 @@ def test_bareiss_matches_cofactor_expansion():
 def test_det_singular_integer_matrix():
     assert det(((1, 2), (2, 4))) == 0
     assert det(((0, 0), (0, 0))) == 0
+
+
+# --------------------------------------------------------------- bordered_det
+
+
+def with_border(m, b, c, d):
+    return tuple((*row, bi) for row, bi in zip(m, b)) + ((*c, d),)
+
+
+def test_bordered_det_matches_two_determinants():
+    rng = random.Random(41)
+    for n in range(1, 6):
+        for _ in range(20):
+            m = rand_int_matrix(rng, n)
+            if det(m) == 0:
+                continue
+            b = tuple(rng.randint(-9, 9) for _ in range(n))
+            c = tuple(rng.randint(-9, 9) for _ in range(n))
+            d = rng.randint(-9, 9)
+            assert bordered_det(m, b, c, d) == (det(m), det(with_border(m, b, c, d)))
+    for n in range(1, 5):
+        for _ in range(5):
+            m = rand_poly_matrix(rng, n)
+            if not det(m):
+                continue
+            b = tuple(rng.randint(-4, 4) for _ in range(n))
+            c = tuple(Poly((e, -e)) for e in b[::-1])
+            assert bordered_det(m, b, c, 3) == (det(m), det(with_border(m, b, c, 3)))
+
+
+def test_bordered_det_rejects_singular_matrix():
+    # only the border row has a pivot in column 0: M is singular, and taking
+    # that pivot would make the last pivot something other than det(M)
+    with pytest.raises(ValueError, match="nonsingular"):
+        bordered_det(((0, 1), (0, 1)), (0, 1), (1, 0), 0)
+    with pytest.raises(ValueError, match="vectors"):
+        bordered_det(((1, 0), (0, 1)), (1,), (1, 0), 0)
 
 
 # ------------------------------------------------------------------- adjugate
@@ -160,16 +205,37 @@ def test_int_inverse_rejects_non_unimodular():
         int_inverse(((2, 0), (0, 1)))
     assert info.value.determinant == 2
     assert "not unimodular" in str(info.value)
+    # a column without pivot (determinant 0) and a determinant of -3 after a swap
+    cases = [
+        (((1, 2), (2, 4)), 0),
+        (((0, 0), (0, 0)), 0),
+        (((0, 1, 0), (3, 0, 0), (0, 0, 1)), -3),
+    ]
+    for m, d in cases:
+        with pytest.raises(NotUnimodularError) as info:
+            int_inverse(m)
+        assert info.value.determinant == d
 
 
 def test_int_inverse_roundtrip_on_random_unimodular():
     rng = random.Random(29)
-    for n in range(1, 7):
+    for n in (*range(1, 7), *range(8, 13)):
         for _ in range(10):
             m = rand_unimodular(rng, n)
             inv = int_inverse(m)
             assert mat_mul(inv, m) == identity(n)
             assert mat_mul(m, inv) == identity(n)
+
+
+def test_int_inverse_matches_adjugate_reference():
+    # A^-1 = adj(A) / det(A), and 1 / det(A) = det(A) for det(A) = +1 or -1
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for _ in range(10):
+            m = rand_signed_unimodular(rng, n)
+            d = det(m)
+            assert d in (1, -1)
+            assert int_inverse(m) == tuple(tuple(d * e for e in row) for row in adjugate(m))
 
 
 def test_transpose_involution():
