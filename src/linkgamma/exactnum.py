@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 def _coeff(c):
-    """Normalize an exact coefficient: integral Fractions collapse to int."""
+    """Normalize an exact coefficient: integral Fractions collapse to int.
+    ``bool`` is not a coefficient, although it subclasses ``int``."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     raise TypeError(f"exact coefficient required, got {type(c).__name__}")
 
@@ -61,7 +65,7 @@ class Poly:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Poly((other,))
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
@@ -111,14 +115,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        out = Poly((1,))
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __divmod__(self, other):
         if not isinstance(other, Poly):
@@ -337,25 +333,23 @@ def _mul_trunc(a, b, order):
 def series_expand_at_one(f: RatFn, order: int) -> Series:
     """Exact Taylor coefficients of ``f`` at t = 1, indices ``0..order``.
 
-    Substitutes t = 1 + x and multiplies the shifted numerator by the
-    reciprocal power series of the shifted denominator.
+    Substitutes t = 1 + x and divides the shifted numerator by the shifted
+    denominator as truncated power series: one exact division for the
+    reciprocal of the denominator's constant term, then each coefficient
+    ``c_k = (p_k - sum_j q_j c_(k-j)) / q_0`` is a multiplication by it.
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    p = _taylor_shift_one(f.num)
-    q = _taylor_shift_one(f.den)
-    if not q.coeffs or q.coeffs[0] == 0:
+    p = _taylor_shift_one(f.num).coeffs + (0,) * (order + 1)
+    q = _taylor_shift_one(f.den).coeffs
+    if not q or q[0] == 0:
         raise ZeroDivisionError("expansion center is a pole")
-    q0_inv = _div(1, q.coeffs[0])
-    recip = [q0_inv]
-    for k in range(1, order + 1):
-        acc = 0
-        for j in range(1, min(k, q.degree()) + 1):
-            acc += q.coeffs[j] * recip[k - j]
-        recip.append(_coeff(-q0_inv * acc))
-    prod = _mul_trunc(p.coeffs, recip, order)
-    prod += [0] * (order + 1 - len(prod))
-    return Series(prod)
+    q0_inv = _div(1, q[0])
+    tail = q[1:]
+    out = []
+    for pk in p[: order + 1]:
+        out.append(_coeff((pk - sum(map(mul, tail, reversed(out)))) * q0_inv))
+    return Series(out)
 
 
 def series_compose(outer: Series, inner: Series, order: int) -> Series:

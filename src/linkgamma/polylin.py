@@ -2,24 +2,26 @@
 
 Matrices are tuples of row tuples; vectors are flat tuples.  Entries are
 either arbitrary-precision ``int`` or :class:`~linkgamma.exactnum.Poly`
-(a matrix mixing the two is lifted to polynomial entries).  Determinants
-use fraction-free Bareiss elimination with exact division, so integer
-matrices yield integers and polynomial matrices yield polynomials, with
-no rational intermediates.  After the elimination the k-th pivot is the
-determinant of the leading k x k block, so one elimination yields every
-leading minor.  Polynomial matrices are never inverted directly: a
-pairing ``c^T adj(M) b`` is read off one bordered determinant,
-``det([[M, b], [-c^T, d]]) = d det(M) + c^T adj(M) b``, and
-:func:`bordered_det` returns it together with ``det(M)``, the last
-leading pivot of the same elimination.  The integer inverse is the
-fraction-free Gauss-Jordan elimination of ``[A | I]``.
+(a matrix mixing the two is lifted to polynomial entries).  Every
+elimination is one fraction-free Bareiss kernel, :func:`_bareiss`, with
+exact division, so integer matrices yield integers and polynomial
+matrices yield polynomials, with no rational intermediates.  After k
+steps, by Sylvester's identity, each entry outside the first k rows and
+columns is the determinant of the leading k x k block bordered by that
+entry's row and column (the Schur complement, scaled by the k-th pivot).
+So one elimination yields every leading minor as a pivot; a pairing
+``c^T adj(M) b`` is read off one bordered determinant,
+``det([[M, b], [-c^T, d]]) = d det(M) + c^T adj(M) b``, which
+:func:`bordered_det` returns together with ``det(M)``; and the integer
+inverse is the Schur complement block of ``[[A, I], [I, 0]]``.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import mul
 
-from .exactnum import Poly, poly_exact_div
+from .exactnum import Poly
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -45,9 +47,7 @@ def transpose(m):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(mat_vec(bt, row) for row in a)
 
 
 def mat_vec(m, v):
@@ -80,56 +80,53 @@ def _classify(rows):
     raise TypeError("matrix entries must be integers or Poly")
 
 
-def _int_exact_div(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("non-exact division in fraction-free elimination")
-    return q
-
-
 def _bareiss(rows, pivot_rows):
     """Bareiss fraction-free elimination of a square matrix, taking pivots
-    only from its first ``pivot_rows`` rows.
+    only from its first ``pivot_rows`` rows and stopping after
+    ``min(pivot_rows, n - 1)`` steps.
 
-    Returns ``(zero, sign, m)``: the zero of the entry ring, the sign of
-    the row swaps (0 when some column has no pivot among those rows, which
-    are then linearly dependent) and the eliminated rows, in which
-    ``m[k][k]`` is the determinant of the leading (k+1) x (k+1) block of
-    the row-swapped matrix.
+    Returns ``(sign, m)``: the sign of the row swaps (0 when some column
+    has no pivot among those rows, which are then linearly dependent) and
+    the eliminated rows.  After the elimination, for the row-swapped
+    matrix ``S`` and ``k`` the number of steps, ``m[k][k]`` is the
+    determinant of ``S``'s leading (k+1) x (k+1) block and, for
+    ``i, j >= k``, ``m[i][j]`` is the determinant of its leading k x k
+    block bordered by row i and column j (Sylvester's identity).
     """
-    kind, rows = _classify(rows)
-    if kind == "int":
-        zero, exact_div = 0, _int_exact_div
-    else:
-        zero, exact_div = Poly(()), poly_exact_div
-    m = [list(r) for r in rows]
+    m = [list(r) for r in _classify(rows)[1]]
     n = len(m)
     sign = 1
     prev = None  # previous pivot; first step divides by 1
-    for k in range(n - 1):
-        if m[k][k] == zero:
+    for k in range(min(pivot_rows, n - 1)):
+        if not m[k][k]:
             for i in range(k + 1, pivot_rows):
-                if m[i][k] != zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return zero, 0, m
-        pivot = m[k][k]
+                return 0, m
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                elt = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = elt if prev is None else exact_div(elt, prev)
+            row = m[i]
+            f = row[k]
+            new = [x * pivot - f * y for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])]
+            if prev is not None:
+                # a list: star-unpacking an iterator grows CPython's tuple free lists
+                new, rems = zip(*list(map(divmod, new, repeat(prev))))
+                if any(rems):
+                    raise ArithmeticError("non-exact division in fraction-free elimination")
+            row[k + 1 :] = new
         prev = pivot
-    return zero, sign, m
+    return sign, m
 
 
 def det(m):
     """Exact determinant by Bareiss fraction-free elimination."""
     rows = _square_rows(m, "determinant")
-    zero, sign, e = _bareiss(rows, len(rows))
-    d = e[-1][-1]
-    return zero if not sign else (d if sign > 0 else -d)
+    sign, e = _bareiss(rows, len(rows))
+    return e[-1][-1] * sign
 
 
 def bordered_det(m, b, c, d):
@@ -147,11 +144,10 @@ def bordered_det(m, b, c, d):
         raise ValueError("bordered determinant requires vectors of the matrix size")
     bordered = [(*row, bi) for row, bi in zip(rows, b)]
     bordered.append((*c, d))
-    _, sign, e = _bareiss(bordered, n)
+    sign, e = _bareiss(bordered, n)
     if not sign:
         raise ValueError("bordered determinant requires a nonsingular matrix")
-    lead, full = e[n - 1][n - 1], e[n][n]
-    return (lead, full) if sign > 0 else (-lead, -full)
+    return e[n - 1][n - 1] * sign, e[n][n] * sign
 
 
 def _minor(rows, i, j):
@@ -177,39 +173,27 @@ def adjugate(m):
 
 
 def int_inverse(m) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix, by fraction-free
-    Gauss-Jordan elimination of ``[A | I]`` (Bareiss 1968).
+    """Exact inverse of a unimodular integer matrix, read off one Bareiss
+    elimination (Bareiss 1968) of ``[[A, I], [I, 0]]``.
 
-    Each step clears the pivot column in every other row and divides by
-    the previous pivot exactly, so all entries stay integers.  The
-    elimination ends at ``[d I | d A^-1]``, with ``d`` the determinant of
-    the row-swapped matrix; a determinant other than +1 or -1 raises
-    :class:`NotUnimodularError` carrying it.
+    The pivots come only from A's rows, and the elimination stops after
+    n steps.  By Sylvester's identity entry (n+i, n+j) is then
+    ``det([[P A, P e_j], [e_i^T, 0]]) = -d (A^-1)_ij``, with ``P`` the row
+    swaps and ``d = det(P A)`` the last pivot: the lower-right block is the
+    Schur complement ``-A^-1`` scaled by ``d``.  A determinant other than
+    +1 or -1 raises :class:`NotUnimodularError` carrying it (0 when a
+    column has no pivot).
     """
     rows = _square_rows(m, "inverse")
-    kind, rows = _classify(rows)
-    if kind != "int":
+    if _classify(rows)[0] != "int":
         raise TypeError("int_inverse is defined for integer matrices")
     n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if not aug[k][k]:
-            for i in range(k + 1, n):
-                if aug[i][k]:
-                    aug[k], aug[i] = aug[i], aug[k]
-                    sign = -sign
-                    break
-            else:
-                raise NotUnimodularError(0)
-        pivot_row = aug[k]
-        pivot = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = aug[i][k]
-                aug[i] = [(pivot * x - f * y) // prev for x, y in zip(aug[i], pivot_row)]
-        prev = pivot
-    if prev not in (1, -1):
-        raise NotUnimodularError(sign * prev)
-    return tuple(tuple(prev * e for e in row[n:]) for row in aug)
+    eye = identity(n)
+    top = [r + u for r, u in zip(rows, eye)]
+    sign, e = _bareiss(top + [u + (0,) * n for u in eye], n)
+    if not sign:
+        raise NotUnimodularError(0)
+    d = e[n - 1][n - 1]
+    if d not in (1, -1):
+        raise NotUnimodularError(sign * d)
+    return tuple(tuple(-d * x for x in row[n:]) for row in e[n:])

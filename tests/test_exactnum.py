@@ -45,6 +45,17 @@ def test_poly_trims_trailing_zeros():
 def test_poly_rejects_floats():
     with pytest.raises(TypeError):
         Poly((1.5,))
+    with pytest.raises(TypeError):
+        Poly((True, False, True))
+
+
+def test_bool_is_not_a_coefficient():
+    with pytest.raises(TypeError):
+        Series((True,))
+    # comparing with a bool builds no coefficient, so it does not raise
+    assert Poly((1,)) == True
+    assert Poly(()) == False
+    assert Poly((1, 1)) != True
 
 
 def test_poly_arithmetic_and_eval():
@@ -54,7 +65,7 @@ def test_poly_arithmetic_and_eval():
     assert (p + q).coeffs == (1, 2, 3)
     assert (p - p) == Poly(())
     assert p(Fraction(1, 2)) == 2
-    assert (p ** 2).coeffs == (1, 4, 4)
+    assert (p * p).coeffs == (1, 4, 4)
 
 
 def test_poly_divmod_roundtrip():
@@ -145,6 +156,15 @@ def test_expand_examples():
     assert series_expand_at_one(f, 4) == Series((1, 1, 2, 4, 8))
     const = ratfn_reduce(Poly((5,)), Poly((1,)))
     assert series_expand_at_one(const, 2) == Series((5, 0, 0))
+
+
+def test_expand_pads_and_truncates_the_numerator():
+    zero = ratfn_reduce(Poly(()), Poly((1, 1)))
+    assert series_expand_at_one(zero, 0) == Series((0,))
+    assert series_expand_at_one(zero, 2) == Series((0, 0, 0))
+    cube = ratfn_reduce(Poly((0, 0, 0, 1)), Poly((1,)))  # (1 + x)^3
+    assert series_expand_at_one(cube, 1) == Series((1, 3))
+    assert series_expand_at_one(cube, 5) == Series((1, 3, 3, 1, 0, 0))
 
 
 def test_expand_pole_at_center():
