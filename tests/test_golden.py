@@ -1,6 +1,10 @@
 """Golden CLI transcripts: the exact stdout and exit code of every command
 that applies to a bundled fixture, and of ``h --expand 12`` and
-``gamma -n 12`` on seeded generated presentations, plain and ``--machine``.
+``gamma -n 12`` on seeded generated presentations, plain and ``--machine``;
+and the exit code, stdout and stderr of failing commands, with the input
+directory written as ``<dir>`` in stderr.  Usage errors are recorded by
+exit code only, since argparse words its messages differently between
+Python versions.
 
 The recorded transcripts live in ``golden_cli.json`` next to this file.
 After an intended change of output, rewrite them with
@@ -10,7 +14,7 @@ After an intended change of output, rewrite them with
 
 import json
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files as resource_files
 from io import StringIO
 from pathlib import Path
@@ -30,6 +34,23 @@ SEQUENCE_FIXTURES = (
     "single-spike-order-three.json",
     "unit-step.json",
 )
+POWERS_DOC = {
+    "genus": 1,
+    "seifert_matrix": [[0, 2], [1, 0]],
+    "v2": [1, 0],
+    "v3": [0, 1],
+    "lk23": 1,
+}
+ERROR_INPUTS = {
+    "non-utf8.json": b'{"gamma": [1, 2, 3], "name": "\xff"}',
+    "truncated.json": b'{"genus": 1,\n  "seifert_matrix": [[0, 2], [1, 0]\n',
+    "not-an-object.json": b"[1, 2, 3]\n",
+    "det-four.json": json.dumps({**POWERS_DOC, "seifert_matrix": [[0, 2], [0, 0]]}).encode(),
+    "ragged.json": json.dumps({**POWERS_DOC, "seifert_matrix": [[0, 1], [0]]}).encode(),
+    "presentation.json": json.dumps(POWERS_DOC).encode(),
+    "sequence.json": json.dumps({"gamma": [1, 3, 0, 0, 0]}).encode(),
+    "short.json": json.dumps({"gamma": [1, 2]}).encode(),
+}
 GENERATED = tuple(
     (seed, genus, f"gen-s{seed}-g{genus}.json") for genus in range(1, 5) for seed in range(5)
 )
@@ -58,6 +79,38 @@ def _generated_commands():
         yield ("gamma", "-n", "12", name)
 
 
+def _error_commands():
+    yield ("gamma", "-n", "3", "absent.json")
+    yield ("milnor", "non-utf8.json")
+    yield ("gamma", "-n", "3", "truncated.json")
+    yield ("milnor", "not-an-object.json")
+    yield ("gamma", "-n", "3", "sequence.json")
+    yield ("swap", "presentation.json")
+    yield ("h", "det-four.json")
+    yield ("h", "ragged.json")
+    yield ("equiv", "sequence.json", "presentation.json")
+    yield ("equiv", "presentation.json", "presentation.json")
+    yield ("equiv", "short.json", "sequence.json")
+    yield ("equiv", "-n", "3", "short.json", "sequence.json")
+    yield ("gamma", "-n", "-1", "presentation.json")
+    yield ("h", "--expand", "-1", "presentation.json")
+    yield ("equiv", "-n", "-1", "presentation.json", "presentation.json")
+    yield ("equiv", "-n", "-1", "sequence.json", "sequence.json")
+    yield ("beta", "-k", "0", "sequence.json")
+    yield ("beta", "-k", "3", "sequence.json")
+    yield ("mixed", "-p", "-1", "-l", "1", "sequence.json")
+    yield ("mixed", "-p", "2", "-l", "3", "sequence.json")
+
+
+USAGE_ERRORS = (
+    (),
+    ("gamma", "presentation.json"),
+    ("gamma", "-n", "x", "presentation.json"),
+    ("beta", "sequence.json"),
+    ("nosuch", "sequence.json"),
+)
+
+
 def _write_generated(directory: Path) -> None:
     for seed, genus, name in GENERATED:
         p = gen_presentation(seed, genus, 3)
@@ -71,15 +124,20 @@ def _write_generated(directory: Path) -> None:
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _run(command, directory: Path):
+    argv = [str(directory / a) if a.endswith(".json") else a for a in command]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue().replace(str(directory), "<dir>")
+
+
 def _transcripts(commands, directory: Path) -> dict:
     out = {}
     for command in commands:
         for prefix in ((), ("--machine",)):
-            argv = [*prefix, *(str(directory / a) if a.endswith(".json") else a for a in command)]
-            buf = StringIO()
-            with redirect_stdout(buf):
-                code = main(argv)
-            out[" ".join((*prefix, *command))] = {"exit": code, "stdout": buf.getvalue()}
+            code, stdout, _ = _run((*prefix, *command), directory)
+            out[" ".join((*prefix, *command))] = {"exit": code, "stdout": stdout}
     return out
 
 
@@ -89,8 +147,25 @@ def _generated_transcripts() -> dict:
         return _transcripts(_generated_commands(), Path(tmp))
 
 
+def _error_transcripts() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, content in ERROR_INPUTS.items():
+            (directory / name).write_bytes(content)
+        for command in _error_commands():
+            for prefix in ((), ("--machine",)):
+                code, stdout, stderr = _run((*prefix, *command), directory)
+                key = " ".join((*prefix, *command))
+                out[key] = {"exit": code, "stdout": stdout, "stderr": stderr}
+        for command in USAGE_ERRORS:
+            out["usage: " + " ".join(command)] = {"exit": _run(command, directory)[0]}
+    return out
+
+
 def _record() -> dict:
     return {
+        "errors": _error_transcripts(),
         "fixtures": _transcripts(_fixture_commands(), FIXTURES),
         "generated": _generated_transcripts(),
     }
@@ -109,6 +184,11 @@ def test_fixture_transcripts():
 def test_generated_transcripts():
     golden = json.loads(DATA.read_text(encoding="utf-8"))
     assert _mismatches(_generated_transcripts(), golden["generated"]) == []
+
+
+def test_error_transcripts():
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    assert _mismatches(_error_transcripts(), golden["errors"]) == []
 
 
 if __name__ == "__main__":
