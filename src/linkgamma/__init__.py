@@ -10,7 +10,6 @@ from .exactnum import (
     Series,
     poly_gcd,
     poly_str,
-    power_of_t_quotient,
     ratfn_eval,
     ratfn_mul_tpow,
     ratfn_reduce,
@@ -73,7 +72,6 @@ __all__ = [
     "mixed_gamma0",
     "poly_gcd",
     "poly_str",
-    "power_of_t_quotient",
     "ratfn_equivalent",
     "ratfn_eval",
     "ratfn_mul_tpow",

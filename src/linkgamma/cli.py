@@ -4,8 +4,8 @@ Commands operate on single-document JSON files (see
 :mod:`linkgamma.fileformat`); default output is whitespace-separated plain
 text, one result per line, and ``--machine`` switches every command to
 structured JSON.  Exit codes are stable across commands: 0 success or
-equivalent, 1 self-test failure, 2 input error, 4 distinct, 5
-indeterminate.
+equivalent, 1 self-test failure, 2 input error or an order too large, 4
+distinct, 5 indeterminate.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ def _read_sequence(path: str):
     return payload
 
 
+def _order(value: int, what: str = "order") -> int:
+    # an order N yields N + 1 entries, and that count must fit an index
+    if value < 0:
+        raise _InputError(f"{what} must be nonnegative")
+    if value >= sys.maxsize:
+        raise _InputError(f"{what} must be less than {sys.maxsize}")
+    return value
+
+
 def _seq_line(seq: GammaSeq) -> str:
     return " ".join(str(e) for e in seq.entries)
 
@@ -84,9 +93,7 @@ def _ratfn_str(f: RatFn) -> str:
 
 def cmd_gamma(args) -> int:
     pres = _read_presentation(args.file)
-    if args.order < 0:
-        raise _InputError("order must be nonnegative")
-    seq = gamma_seq(pres, args.order)
+    seq = gamma_seq(pres, _order(args.order))
     if args.machine:
         print(json.dumps(sequence_to_doc(seq, name=pres.name)))
     else:
@@ -99,9 +106,7 @@ def cmd_h(args) -> int:
     f = h_closed_form(pres)
     expansion = None
     if args.expand is not None:
-        if args.expand < 0:
-            raise _InputError("expansion order must be nonnegative")
-        expansion = series_expand_at_one(f, args.expand)
+        expansion = series_expand_at_one(f, _order(args.expand, "expansion order"))
     if args.machine:
         doc = {
             "num": [_coeff_json(c) for c in f.num.coeffs],
@@ -137,12 +142,11 @@ def cmd_equiv(args) -> int:
     if kind_a == "presentation":
         if args.order is None:
             raise _InputError("presentation inputs require -n ORDER")
-        if args.order < 0:
-            raise _InputError("order must be nonnegative")
+        order = _order(args.order)
         _require_valid(args.file_a, payload_a)
         _require_valid(args.file_b, payload_b)
-        seq_a = gamma_seq(payload_a, args.order)
-        seq_b = gamma_seq(payload_b, args.order)
+        seq_a = gamma_seq(payload_a, order)
+        seq_b = gamma_seq(payload_b, order)
     else:
         seq_a, _ = payload_a
         seq_b, _ = payload_b
@@ -350,6 +354,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
     finally:
         sys.set_int_max_str_digits(digit_limit)

@@ -15,7 +15,7 @@ certificates are issued.
 
 from __future__ import annotations
 
-from .exactnum import RatFn, power_of_t_quotient
+from .exactnum import RatFn
 from .gamma import GammaSeq, Record
 from .transforms import apply_shift
 
@@ -58,8 +58,9 @@ class EquivVerdict(Record):
         return "indeterminate"
 
 
-def _first_nonzero(s: GammaSeq):
-    for k, e in enumerate(s.entries):
+def _first_nonzero(entries):
+    # the leading index: of a gamma sequence, or of a coefficient tuple
+    for k, e in enumerate(entries):
         if e:
             return k
     return None
@@ -76,8 +77,8 @@ def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    ka = _first_nonzero(a)
-    kb = _first_nonzero(b)
+    ka = _first_nonzero(a.entries)
+    kb = _first_nonzero(b.entries)
     if ka is None and kb is None:
         return EquivVerdict.indeterminate()
     if ka is None or kb is None:
@@ -111,7 +112,7 @@ def canonicalize(s: GammaSeq) -> tuple[GammaSeq, int]:
     sequences are equivalent exactly when their canonical forms agree
     entrywise.
     """
-    k = _first_nonzero(s)
+    k = _first_nonzero(s.entries)
     if k is None or k == s.order:
         return s, 0
     lead = s.entries[k]
@@ -124,9 +125,20 @@ def canonicalize(s: GammaSeq) -> tuple[GammaSeq, int]:
 def ratfn_equivalent(f: RatFn, g: RatFn):
     """The integer n with ``f == t**n * g``, or None when the two rational
     functions are in different classes.  Two zero functions are in the
-    same class with exponent 0."""
-    if not f and not g:
-        return 0
+    same class with exponent 0; a zero ``g`` against a nonzero ``f`` is an
+    error.  A canonical nonzero function is ``t**m * p/q`` with p(0) and
+    q(0) nonzero and q itself canonical, so its class is the pair (p, q)
+    of coefficient tuples left after stripping leading zeros, and n is the
+    difference of the two values of m; no polynomial product is formed.
+    """
     if not g:
-        raise ZeroDivisionError("comparison against zero")
-    return power_of_t_quotient(f, g)
+        if f:
+            raise ZeroDivisionError("comparison against zero")
+        return 0
+    if not f:
+        return None
+    vf, wf = _first_nonzero(f.num.coeffs), _first_nonzero(f.den.coeffs)
+    vg, wg = _first_nonzero(g.num.coeffs), _first_nonzero(g.den.coeffs)
+    if f.num.coeffs[vf:] != g.num.coeffs[vg:] or f.den.coeffs[wf:] != g.den.coeffs[wg:]:
+        return None
+    return (vf - wf) - (vg - wg)

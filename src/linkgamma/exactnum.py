@@ -36,7 +36,7 @@ def _coeff(c):
 
 def _div(a, b):
     """Exact scalar division (never the float ``/``)."""
-    return _coeff(Fraction(a) / Fraction(b))
+    return _coeff(Fraction(a, b))
 
 
 class Poly:
@@ -167,20 +167,6 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
-def _valuation(p: Poly) -> int:
-    # index of the lowest nonzero coefficient; caller guarantees p != 0
-    for k, c in enumerate(p.coeffs):
-        if c != 0:
-            return k
-    raise ValueError("zero polynomial has no valuation")
-
-
-def _mul_tpow(p: Poly, n: int) -> Poly:
-    if not p or n == 0:
-        return p
-    return Poly((0,) * n + p.coeffs)
-
-
 def _mag_str(c) -> str:
     s = str(c)
     return f"({s})" if "/" in s else s
@@ -265,7 +251,8 @@ class RatFn:
             num = poly_exact_div(num, g)
             den = poly_exact_div(den, g)
         fracs = [Fraction(c) for c in den.coeffs]
-        mult = math.lcm(*(f.denominator for f in fracs))
+        # from a list: a star-unpacked generator grows CPython's tuple free lists per call
+        mult = math.lcm(*[f.denominator for f in fracs])
         ints = [int(f * mult) for f in fracs]
         scale = Fraction(mult, math.gcd(*ints))
         if ints[-1] < 0:
@@ -297,8 +284,8 @@ def ratfn_reduce(num: Poly, den: Poly) -> RatFn:
 def ratfn_mul_tpow(f: RatFn, n: int) -> RatFn:
     """``t**n * f`` for any integer n, renormalized."""
     if n >= 0:
-        return RatFn(_mul_tpow(f.num, n), f.den)
-    return RatFn(f.num, _mul_tpow(f.den, -n))
+        return RatFn(Poly((0,) * n + f.num.coeffs), f.den)
+    return RatFn(f.num, Poly((0,) * -n + f.den.coeffs))
 
 
 def ratfn_eval(f: RatFn, x) -> Fraction:
@@ -316,18 +303,6 @@ def _taylor_shift_one(p: Poly) -> Poly:
     for c in reversed(p.coeffs):
         acc = acc * base + c
     return acc
-
-
-def _mul_trunc(a, b, order):
-    out = [0] * min(len(a) + len(b) - 1, order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
 
 
 def series_expand_at_one(f: RatFn, order: int) -> Series:
@@ -365,30 +340,9 @@ def series_compose(outer: Series, inner: Series, order: int) -> Series:
         raise ValueError("series order insufficient for requested truncation")
     if inner.coeffs[0] != 0:
         raise ValueError("composition requires zero constant term")
-    inner_c = inner.coeffs[: order + 1]
-    acc = [outer.coeffs[order]]
-    for k in range(order - 1, -1, -1):
-        acc = _mul_trunc(acc, inner_c, order)
-        acc[0] += outer.coeffs[k]
-    acc += [0] * (order + 1 - len(acc))
-    return Series(acc)
+    inner_p = Poly(inner.coeffs[: order + 1])
+    acc = Poly(())
+    for c in reversed(outer.coeffs[: order + 1]):
+        acc = Poly((acc * inner_p + c).coeffs[: order + 1])
+    return Series(acc.coeffs + (0,) * (order + 1 - len(acc.coeffs)))
 
-
-def power_of_t_quotient(f: RatFn, g: RatFn):
-    """The integer n with ``f == t**n * g`` exactly, or None.
-
-    This decides equality under the relation that identifies a rational
-    function with all its t-power multiples.  A zero ``f`` against a
-    nonzero ``g`` yields None; a zero ``g`` is an error.
-    """
-    if not g:
-        raise ZeroDivisionError("comparison against zero")
-    if not f:
-        return None
-    left = f.num * g.den
-    right = g.num * f.den
-    vl = _valuation(left)
-    vr = _valuation(right)
-    if left.coeffs[vl:] != right.coeffs[vr:]:
-        return None
-    return vl - vr

@@ -17,12 +17,6 @@ from operator import add, mul, neg
 from .gamma import GammaSeq
 
 
-def _mixed(entries, p: int, l: int) -> int:
-    # the one binomial kernel: (-1)^l * sum_j C(l-1, j-1) entries[p+j], 1 <= j <= l
-    acc = sum(math.comb(l - 1, j) * entries[p + 1 + j] for j in range(l))
-    return -acc if l % 2 else acc
-
-
 # Above this many steps per index, apply_shift takes the binomial sum.  Timed
 # on Python 3.11, the sum overtakes the steps at |n| of 1.5 to 2 times the
 # order at orders 8 to 300, and only at 6 to 8 times at order 1000 with
@@ -98,7 +92,8 @@ def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:
         raise ValueError(
             f"insufficient sequence order: need at least {p + l}, have {s.order}"
         )
-    return _mixed(s.entries, p, l)
+    acc = sum(math.comb(l - 1, j) * s.entries[p + 1 + j] for j in range(l))
+    return -acc if l % 2 else acc
 
 
 def beta_from_gamma(s: GammaSeq, k: int) -> int:
@@ -115,8 +110,4 @@ def beta_from_gamma(s: GammaSeq, k: int) -> int:
     """
     if k < 1:
         raise ValueError("beta index k must be positive")
-    if 2 * k > s.order:
-        raise ValueError(
-            f"insufficient sequence order: need at least {2 * k}, have {s.order}"
-        )
-    return _mixed(s.entries, k, k)
+    return mixed_gamma0(s, k, k)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from linkgamma import cli
 from linkgamma.cli import main
 from linkgamma.fileformat import sequence_from_doc
 from linkgamma.gamma import GammaSeq
@@ -337,6 +338,31 @@ def test_selftest_machine(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert all(row["passed"] == row["total"] for row in doc["suites"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "-n", str(10**20), POWERS),
+        ("h", "--expand", str(10**20), POWERS),
+        ("equiv", "-n", str(10**20), POWERS, POWERS),
+    ],
+    ids=["gamma", "h", "equiv"],
+)
+def test_order_too_large_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "order must be less than" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(pres, order):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gamma_seq", exhausted)
+    code, out, err = run(capsys, "gamma", "-n", "5", POWERS)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_usage_error_exits_2(capsys):

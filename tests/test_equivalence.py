@@ -18,6 +18,15 @@ from linkgamma.gamma import GammaSeq, gen_presentation, gamma_seq, h_closed_form
 from linkgamma.transforms import apply_shift
 
 
+def rand_ratfn(rng, max_deg):
+    # a random numerator over a random denominator with no pole at t = 1
+    num = Poly(tuple(rng.randint(-9, 9) for _ in range(max_deg + 1)))
+    while True:
+        den = Poly(tuple(rng.randint(-9, 9) for _ in range(max_deg + 1)))
+        if den(1) != 0:
+            return ratfn_reduce(num, den)
+
+
 def rand_nonzero_seq(rng, order):
     while True:
         entries = tuple(rng.randint(-9, 9) for _ in range(order + 1))
@@ -156,6 +165,46 @@ def test_ratfn_equivalent_zero_handling():
     with pytest.raises(ZeroDivisionError):
         ratfn_equivalent(one, zero)
 
+
+def test_ratfn_equivalent_power_quotient_examples():
+    g = ratfn_reduce(Poly((1, 1)), Poly((-2, 1)))
+    f = ratfn_reduce(Poly((0, 0, 1, 1)), Poly((-2, 1)))  # t^2 (t+1)/(t-2)
+    assert ratfn_equivalent(f, g) == 2
+    a = ratfn_reduce(Poly((2, -1)), Poly((3, -2)))
+    b = ratfn_reduce(Poly((0, 2, -1)), Poly((3, -2)))
+    assert ratfn_equivalent(a, b) == -1
+    assert ratfn_equivalent(
+        ratfn_reduce(Poly((1, 1)), Poly((1,))),
+        ratfn_reduce(Poly((2, 1)), Poly((1,))),
+    ) is None
+
+
+def test_ratfn_equivalent_power_quotient_zero_cases():
+    zero = ratfn_reduce(Poly(()), Poly((1,)))
+    one = ratfn_reduce(Poly((1,)), Poly((1,)))
+    assert ratfn_equivalent(zero, one) is None
+    with pytest.raises(ZeroDivisionError):
+        ratfn_equivalent(one, zero)
+
+
+def test_ratfn_equivalent_detects_constructed_powers():
+    rng = random.Random(43)
+    for _ in range(30):
+        f = rand_ratfn(rng, 3)
+        if not f:
+            continue
+        assert ratfn_equivalent(f, f) == 0
+        for n in range(-16, 17):
+            assert ratfn_equivalent(ratfn_mul_tpow(f, n), f) == n
+
+
+
+def test_ratfn_equivalent_compares_denominators():
+    # equal numerators: only the denominators tell these classes apart
+    f = ratfn_reduce(Poly((1,)), Poly((-2, 1)))
+    assert ratfn_equivalent(f, ratfn_reduce(Poly((1,)), Poly((-3, 1)))) is None
+    assert ratfn_equivalent(f, ratfn_reduce(Poly((1,)), Poly((0, 0, -2, 1)))) == 2
+    assert ratfn_equivalent(ratfn_reduce(Poly((1,)), Poly((0, 0, -2, 1))), f) == -2
 
 def test_bridge_between_function_and_sequence_equivalence():
     # multiplying h by t^n matches shifting the expansion n times

@@ -8,9 +8,7 @@ from linkgamma.exactnum import (
     Series,
     poly_gcd,
     poly_str,
-    power_of_t_quotient,
     ratfn_eval,
-    ratfn_mul_tpow,
     ratfn_reduce,
     series_compose,
     series_expand_at_one,
@@ -218,37 +216,3 @@ def test_mobius_substitution_is_an_involution():
         once = series_compose(g, MOBIUS, 16)
         assert series_compose(once, MOBIUS, 16) == g
 
-
-# ------------------------------------------------------- power_of_t_quotient
-
-
-def test_power_quotient_examples():
-    g = ratfn_reduce(Poly((1, 1)), Poly((-2, 1)))
-    f = ratfn_reduce(Poly((0, 0, 1, 1)), Poly((-2, 1)))  # t^2 (t+1)/(t-2)
-    assert power_of_t_quotient(f, g) == 2
-    a = ratfn_reduce(Poly((2, -1)), Poly((3, -2)))
-    b = ratfn_reduce(Poly((0, 2, -1)), Poly((3, -2)))
-    assert power_of_t_quotient(a, b) == -1
-    assert power_of_t_quotient(
-        ratfn_reduce(Poly((1, 1)), Poly((1,))),
-        ratfn_reduce(Poly((2, 1)), Poly((1,))),
-    ) is None
-
-
-def test_power_quotient_zero_cases():
-    zero = ratfn_reduce(Poly(()), Poly((1,)))
-    one = ratfn_reduce(Poly((1,)), Poly((1,)))
-    assert power_of_t_quotient(zero, one) is None
-    with pytest.raises(ZeroDivisionError):
-        power_of_t_quotient(one, zero)
-
-
-def test_power_quotient_detects_constructed_powers():
-    rng = random.Random(43)
-    for _ in range(30):
-        f = rand_ratfn(rng, 3)
-        if not f:
-            continue
-        assert power_of_t_quotient(f, f) == 0
-        for n in range(-16, 17):
-            assert power_of_t_quotient(ratfn_mul_tpow(f, n), f) == n

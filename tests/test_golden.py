@@ -100,6 +100,9 @@ def _error_commands():
     yield ("beta", "-k", "3", "sequence.json")
     yield ("mixed", "-p", "-1", "-l", "1", "sequence.json")
     yield ("mixed", "-p", "2", "-l", "3", "sequence.json")
+    yield ("gamma", "-n", str(10**20), "presentation.json")
+    yield ("h", "--expand", str(10**20), "presentation.json")
+    yield ("equiv", "-n", str(10**20), "presentation.json", "presentation.json")
 
 
 USAGE_ERRORS = (
