@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .equivalence import DISTINCT, EQUIVALENT, are_equivalent
 from .exactnum import RatFn, poly_str, series_expand_at_one
-from .fileformat import InputFormatError, load_text, sequence_to_doc
-from .gamma import GammaSeq, SeifertPresentation, gamma_seq, h_closed_form, validate
+from .fileformat import load_text, sequence_to_doc
+from .gamma import GammaSeq, SeifertPresentation, gamma_seq, h_closed_form
 from .milnor import milnor_residues
 from .transforms import beta_from_gamma, mixed_gamma0, swap_seq
 
@@ -29,8 +28,13 @@ EXIT_DISTINCT = 4
 EXIT_INDETERMINATE = 5
 
 
-class _InputError(Exception):
-    pass
+def _on(path: str, func, *args):
+    """``func(*args)``; a ``ValueError`` it raises about the file at ``path``
+    is raised again with that path before its message."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load(path: str):
@@ -38,42 +42,33 @@ def _load(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _InputError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-    try:
-        return load_text(text)
-    except InputFormatError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _require_valid(path: str, pres: SeifertPresentation) -> None:
-    problems = validate(pres)
-    if problems:
-        raise _InputError(f"{path}: invalid presentation: " + "; ".join(problems))
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    return _on(path, load_text, text)
 
 
 def _read_presentation(path: str) -> SeifertPresentation:
+    # validated by gamma_seq and h_closed_form, the library calls that use it
     kind, payload = _load(path)
     if kind != "presentation":
-        raise _InputError(f"{path}: expected a presentation file (with 'seifert_matrix')")
-    _require_valid(path, payload)
+        raise ValueError(f"{path}: expected a presentation file (with 'seifert_matrix')")
     return payload
 
 
 def _read_sequence(path: str):
     kind, payload = _load(path)
     if kind != "sequence":
-        raise _InputError(f"{path}: expected a sequence file (with 'gamma')")
+        raise ValueError(f"{path}: expected a sequence file (with 'gamma')")
     return payload
 
 
 def _order(value: int, what: str = "order") -> int:
     # an order N yields N + 1 entries, and that count must fit an index
     if value < 0:
-        raise _InputError(f"{what} must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative")
     if value >= sys.maxsize:
-        raise _InputError(f"{what} must be less than {sys.maxsize}")
+        raise ValueError(f"{what} must be less than {sys.maxsize}")
     return value
 
 
@@ -82,7 +77,7 @@ def _seq_line(seq: GammaSeq) -> str:
 
 
 def _coeff_json(c):
-    return c if isinstance(c, int) else str(Fraction(c))
+    return c if isinstance(c, int) else str(c)
 
 
 def _ratfn_str(f: RatFn) -> str:
@@ -93,7 +88,7 @@ def _ratfn_str(f: RatFn) -> str:
 
 def cmd_gamma(args) -> int:
     pres = _read_presentation(args.file)
-    seq = gamma_seq(pres, _order(args.order))
+    seq = _on(args.file, gamma_seq, pres, _order(args.order))
     if args.machine:
         print(json.dumps(sequence_to_doc(seq, name=pres.name)))
     else:
@@ -103,7 +98,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_h(args) -> int:
     pres = _read_presentation(args.file)
-    f = h_closed_form(pres)
+    f = _on(args.file, h_closed_form, pres)
     expansion = None
     if args.expand is not None:
         expansion = series_expand_at_one(f, _order(args.expand, "expansion order"))
@@ -126,8 +121,8 @@ def cmd_h(args) -> int:
 
 def _truncate(seq: GammaSeq, order: int, path: str) -> GammaSeq:
     if seq.order < order:
-        raise _InputError(
-            f"{path}: sequence order insufficient: need at least {order}, have {seq.order}"
+        raise ValueError(
+            f"{path}: insufficient sequence order: need at least {order}, have {seq.order}"
         )
     return GammaSeq(seq.entries[: order + 1])
 
@@ -136,27 +131,24 @@ def cmd_equiv(args) -> int:
     kind_a, payload_a = _load(args.file_a)
     kind_b, payload_b = _load(args.file_b)
     if kind_a != kind_b:
-        raise _InputError(
+        raise ValueError(
             "inputs must both be presentation files or both be sequence files"
         )
     if kind_a == "presentation":
         if args.order is None:
-            raise _InputError("presentation inputs require -n ORDER")
+            raise ValueError("presentation inputs require -n ORDER")
         order = _order(args.order)
-        _require_valid(args.file_a, payload_a)
-        _require_valid(args.file_b, payload_b)
-        seq_a = gamma_seq(payload_a, order)
-        seq_b = gamma_seq(payload_b, order)
+        seq_a = _on(args.file_a, gamma_seq, payload_a, order)
+        seq_b = _on(args.file_b, gamma_seq, payload_b, order)
     else:
         seq_a, _ = payload_a
         seq_b, _ = payload_b
         if args.order is not None:
-            if args.order < 0:
-                raise _InputError("order must be nonnegative")
-            seq_a = _truncate(seq_a, args.order, args.file_a)
-            seq_b = _truncate(seq_b, args.order, args.file_b)
+            order = _order(args.order)
+            seq_a = _truncate(seq_a, order, args.file_a)
+            seq_b = _truncate(seq_b, order, args.file_b)
         elif seq_a.order != seq_b.order:
-            raise _InputError(
+            raise ValueError(
                 f"order mismatch: {seq_a.order} vs {seq_b.order} "
                 "(pass -n ORDER to compare truncations)"
             )
@@ -179,13 +171,6 @@ def cmd_equiv(args) -> int:
 
 def cmd_beta(args) -> int:
     seq, _ = _read_sequence(args.file)
-    if args.k < 1:
-        raise _InputError("beta index k must be positive")
-    if 2 * args.k > seq.order:
-        raise _InputError(
-            f"sequence order insufficient: beta k={args.k} needs order >= {2 * args.k}, "
-            f"file has {seq.order}"
-        )
     value = beta_from_gamma(seq, args.k)
     if args.machine:
         print(json.dumps({"k": args.k, "beta": value}))
@@ -206,13 +191,6 @@ def cmd_swap(args) -> int:
 
 def cmd_mixed(args) -> int:
     seq, _ = _read_sequence(args.file)
-    if args.p < 0 or args.l < 1:
-        raise _InputError("mixed derivatives need p >= 0 and l >= 1")
-    if args.p + args.l > seq.order:
-        raise _InputError(
-            f"sequence order insufficient: mixed p={args.p} l={args.l} needs order "
-            f">= {args.p + args.l}, file has {seq.order}"
-        )
     value = mixed_gamma0(seq, args.p, args.l)
     if args.machine:
         print(json.dumps({"p": args.p, "l": args.l, "mixed_gamma0": value}))
@@ -352,7 +330,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError:

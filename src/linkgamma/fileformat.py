@@ -69,7 +69,7 @@ def _int_field(value, where: str) -> int:
 def _int_array(value, where: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise InputFormatError(f"field '{where}': expected an array of integers")
-    return tuple(_int_field(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return tuple([_int_field(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
 def _required(doc: dict, key: str):

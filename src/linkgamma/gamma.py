@@ -107,7 +107,7 @@ class SeifertPresentation(Record):
 
     def __init__(self, genus: int, seifert_matrix: IntMatrix, v2: IntVector,
                  v3: IntVector, lk23: int, name: str | None = None):
-        matrix = tuple(tuple(row) for row in seifert_matrix)
+        matrix = tuple([tuple(row) for row in seifert_matrix])
         self._set(genus, matrix, tuple(v2), tuple(v3), lk23, name)
 
 
@@ -134,7 +134,7 @@ def intersection_form(p: SeifertPresentation) -> IntMatrix:
     """The skew form ``V - V^T`` of the presentation's surface."""
     v = p.seifert_matrix
     return tuple(
-        tuple(v[i][j] - v[j][i] for j in range(len(v))) for i in range(len(v))
+        [tuple([v[i][j] - v[j][i] for j in range(len(v))]) for i in range(len(v))]
     )
 
 

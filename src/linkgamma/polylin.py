@@ -27,6 +27,9 @@ IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 PolyMatrix = tuple[tuple[Poly, ...], ...]
 
+# Tuples here are built from lists: a tuple built from a generator or an
+# iterator leaves a block in CPython's tuple free lists on every call.
+
 
 class NotUnimodularError(ValueError):
     """Raised when an integer inverse is requested of a matrix whose
@@ -38,20 +41,20 @@ class NotUnimodularError(ValueError):
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)])
 
 
 def transpose(m):
-    return tuple(zip(*m))
+    return tuple(list(zip(*m)))
 
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(mat_vec(bt, row) for row in a)
+    return tuple([mat_vec(bt, row) for row in a])
 
 
 def mat_vec(m, v):
-    return tuple(sum(map(mul, row, v)) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def vec_dot(u, v):
@@ -71,7 +74,7 @@ def _classify(rows):
     has_poly = any(isinstance(e, Poly) for row in rows for e in row)
     if has_poly:
         lifted = [
-            tuple(e if isinstance(e, Poly) else Poly((e,)) for e in row)
+            tuple([e if isinstance(e, Poly) else Poly((e,)) for e in row])
             for row in rows
         ]
         return "poly", lifted
@@ -196,4 +199,4 @@ def int_inverse(m) -> IntMatrix:
     d = e[n - 1][n - 1]
     if d not in (1, -1):
         raise NotUnimodularError(sign * d)
-    return tuple(tuple(-d * x for x in row[n:]) for row in e[n:])
+    return tuple([tuple([-d * x for x in row[n:]]) for row in e[n:]])

@@ -1,15 +1,21 @@
 import json
+import re
 import shutil
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files as resource_files
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linkgamma import cli
+from linkgamma import cli, gamma
 from linkgamma.cli import main
 from linkgamma.fileformat import sequence_from_doc
-from linkgamma.gamma import GammaSeq
+from linkgamma.gamma import GammaSeq, gen_presentation
 
 FIXTURES = Path(str(resource_files("linkgamma") / "fixtures"))
 POWERS = str(FIXTURES / "powers-of-two-link.json")
@@ -201,6 +207,32 @@ def test_h_machine(capsys):
     assert doc["expansion"] == [1, 1, 2, 4]
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (("gamma", "-n", "5", POWERS), 1),
+        (("h", "--expand", "5", POWERS), 1),
+        (("equiv", "-n", "5", POWERS, POWERS), 2),
+    ],
+    ids=["gamma", "h", "equiv"],
+)
+def test_each_presentation_is_validated_once(capsys, argv, files):
+    # counts calls of the function itself, however a caller has bound it
+    target = gamma.validate.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is target
+
+    sys.setprofile(profile)
+    try:
+        code, _, _ = run(capsys, *argv)
+    finally:
+        sys.setprofile(None)
+    assert (code, calls) == (0, files)
+
+
 # ----------------------------------------------------------------- cmd: equiv
 
 
@@ -235,6 +267,17 @@ def test_equiv_order_mismatch(capsys, tmp_path):
     # explicit truncation reconciles them
     code, out, _ = run(capsys, "equiv", "-n", "1", a, b)
     assert (code, out.strip()) == (0, "equivalent(0)")
+
+
+def test_equiv_names_the_invalid_presentation(capsys, tmp_path):
+    bad = write(
+        tmp_path,
+        "det-four.json",
+        {"genus": 1, "seifert_matrix": [[0, 2], [0, 0]], "v2": [1, 0], "v3": [0, 1], "lk23": 1},
+    )
+    code, out, err = run(capsys, "equiv", "-n", "3", POWERS, bad)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: invalid presentation: det(V - V^T) = 4, expected 1\n"
 
 
 def test_equiv_mixed_kinds_rejected(capsys, tmp_path):
@@ -368,3 +411,87 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 def test_usage_error_exits_2(capsys):
     assert main(["gamma"]) == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------ exit codes on any document
+
+INTS = st.one_of(st.integers(-3, 3), st.sampled_from([10**30, -(10**30)]))
+NOT_INTS = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none())
+JUNK = st.one_of(
+    INTS,
+    NOT_INTS,
+    st.lists(st.one_of(INTS, NOT_INTS), max_size=4),
+    st.lists(st.lists(st.one_of(INTS, NOT_INTS), max_size=4), max_size=4),
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(INTS, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.dictionaries(st.text(max_size=2), INTS, max_size=2),
+)
+MISSING = object()
+
+
+@st.composite
+def presentation_docs(draw):
+    p = gen_presentation(draw(st.integers(0, 9)), draw(st.integers(1, 3)), 3)
+    doc = {
+        "genus": p.genus,
+        "seifert_matrix": [list(row) for row in p.seifert_matrix],
+        "v2": list(p.v2),
+        "v3": list(p.v3),
+        "lk23": p.lk23,
+    }
+    return corrupt(draw, doc)
+
+
+@st.composite
+def sequence_docs(draw):
+    return corrupt(draw, {"gamma": draw(st.lists(INTS, min_size=1, max_size=8))})
+
+
+def corrupt(draw, doc):
+    for key in draw(st.one_of(st.just(()), st.sets(st.sampled_from([*doc, "name"])))):
+        value = draw(st.one_of(JUNK, st.just(MISSING)))
+        if value is MISSING:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    return doc
+
+
+# orders from 9 up to sys.maxsize - 1 are valid and would run that long
+HUGE = st.sampled_from([-(10**20), sys.maxsize, 10**20])
+ORDERS = st.one_of(st.integers(-3, 8), HUGE).map(str)
+INDICES = st.one_of(st.integers(-3, 8), HUGE, st.integers()).map(str)
+COMMANDS = st.one_of(
+    st.tuples(st.just("gamma"), st.just("-n"), ORDERS, st.just("A")),
+    st.tuples(st.just("h"), st.just("A")),
+    st.tuples(st.just("h"), st.just("--expand"), ORDERS, st.just("A")),
+    st.tuples(st.just("equiv"), st.just("A"), st.just("B")),
+    st.tuples(st.just("equiv"), st.just("-n"), ORDERS, st.just("A"), st.just("B")),
+    st.tuples(st.just("beta"), st.just("-k"), INDICES, st.just("A")),
+    st.tuples(st.just("mixed"), st.just("-p"), INDICES, st.just("-l"), INDICES, st.just("A")),
+    st.tuples(st.just("swap"), st.just("A")),
+    st.tuples(st.just("milnor"), st.just("A")),
+)
+# a nested one_of would be flattened into DOCUMENTS' branches, so the
+# document that is not an object is one strategy
+DOCUMENTS = st.one_of(presentation_docs(), sequence_docs(), st.lists(INTS, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=DOCUMENTS, b=DOCUMENTS, command=COMMANDS, machine=st.booleans())
+def test_every_document_gets_a_documented_exit(a, b, command, machine):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"A": Path(tmp, "a.json"), "B": Path(tmp, "b.json")}
+        paths["A"].write_text(json.dumps(a), encoding="utf-8")
+        paths["B"].write_text(json.dumps(b), encoding="utf-8")
+        argv = ["--machine"] * machine + [str(paths.get(arg, arg)) for arg in command]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 4, 5)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
+    else:
+        assert err.getvalue() == ""
