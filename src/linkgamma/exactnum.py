@@ -10,7 +10,10 @@ computations run at native integer speed; the two types mix freely.
 
 ``RatFn`` values are kept in a canonical form -- numerator and denominator
 coprime, denominator an integer-primitive polynomial with positive leading
-coefficient -- so that equality is a structural comparison.  Laurent
+coefficient -- so that equality is a structural comparison.  A gcd of
+degree 0 modulo p = 2^61 - 1 certifies coprimality when p does not divide
+the denominator's leading coefficient (Collins 1967; Brown 1971); only a
+pair that fails it is reduced by Euclid over Q (``poly_gcd``).  Laurent
 polynomials need no separate type: a monomial denominator ``t^m`` covers
 negative exponents.
 """
@@ -69,6 +72,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes like the scalar it equals
+        if len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(("Poly", self.coeffs))
 
     def __repr__(self):
@@ -167,6 +173,47 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     return q
 
 
+# The modulus of the coprimality certificate, the Mersenne prime 2^61 - 1.
+_P = (1 << 61) - 1
+
+
+def _integral(num: Poly, den: Poly):
+    """The coefficients of ``num`` and ``den`` scaled by the lcm of all their
+    coefficient denominators: two int sequences with the same quotient."""
+    # from a list: a star-unpacked generator grows CPython's tuple free lists per call
+    mult = math.lcm(*[c.denominator for c in num.coeffs + den.coeffs])
+    if mult == 1:
+        return num.coeffs, den.coeffs
+    return ([c.numerator * (mult // c.denominator) for c in num.coeffs],
+            [c.numerator * (mult // c.denominator) for c in den.coeffs])
+
+
+def _coprime_mod_p(num, den) -> bool:
+    """Whether nonzero int sequences ``num`` and ``den`` are certified
+    coprime over Q: p does not divide den's leading coefficient and
+    gcd(num, den) mod p is constant.  A common factor of positive degree,
+    taken primitive in Z[t], has a leading coefficient dividing den's, so
+    it would keep its degree mod p.  False proves nothing."""
+    a = [c % _P for c in den]
+    if not a[-1]:
+        return False
+    b = [c % _P for c in num]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        # a <- a mod b in place, cancelling one leading term per step
+        inv = pow(b[-1], -1, _P)
+        nb = len(b) - 1
+        while len(a) > nb:
+            q = a.pop() * inv % _P
+            off = len(a) - nb
+            a[off:] = [(x - q * y) % _P for x, y in zip(a[off:], b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def _mag_str(c) -> str:
     s = str(c)
     return f"({s})" if "/" in s else s
@@ -227,10 +274,14 @@ class Series:
 class RatFn:
     """Reduced rational function ``num/den`` in the variable t.
 
-    The constructor establishes the canonical form: the polynomial gcd is
-    divided out, then both parts are scaled so the denominator has integer,
-    collectively coprime coefficients and a positive leading coefficient.
-    Structural equality of two RatFn values is therefore equality in Q(t).
+    The constructor establishes the canonical form: num and den coprime, den
+    with integer, collectively coprime coefficients and a positive leading
+    coefficient, so structural equality is equality in Q(t).  Both parts
+    are scaled to integer coefficients; a gcd of degree 0 mod p = 2^61 - 1,
+    with p not dividing den's leading coefficient, certifies them coprime,
+    and any other pair is first reduced by ``poly_gcd`` over Q.  Last, both
+    are divided by den's integer content, signed like its leading
+    coefficient.
     """
 
     __slots__ = ("num", "den")
@@ -246,19 +297,19 @@ class RatFn:
             self.num = Poly(())
             self.den = Poly((1,))
             return
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
-        fracs = [Fraction(c) for c in den.coeffs]
-        # from a list: a star-unpacked generator grows CPython's tuple free lists per call
-        mult = math.lcm(*[f.denominator for f in fracs])
-        ints = [int(f * mult) for f in fracs]
-        scale = Fraction(mult, math.gcd(*ints))
-        if ints[-1] < 0:
-            scale = -scale
-        self.num = num * scale
-        self.den = den * scale
+        nums, dens = _integral(num, den)
+        if not _coprime_mod_p(nums, dens):
+            g = poly_gcd(num, den)
+            if g.degree() > 0:
+                nums, dens = _integral(poly_exact_div(num, g), poly_exact_div(den, g))
+        content = math.gcd(*dens)
+        if dens[-1] < 0:
+            content = -content
+        if content != 1:
+            nums = [_div(c, content) for c in nums]
+            dens = [c // content for c in dens]
+        self.num = Poly(nums)
+        self.den = Poly(dens)
 
     def __bool__(self):
         return bool(self.num)

@@ -1,11 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkgamma import exactnum
 from linkgamma.exactnum import (
     Poly,
+    RatFn,
     Series,
+    poly_exact_div,
     poly_gcd,
     poly_str,
     ratfn_eval,
@@ -76,6 +82,16 @@ def test_poly_divmod_roundtrip():
         assert r.degree() < b.degree()
 
 
+def test_constant_poly_hashes_like_its_scalar():
+    for c in (3, -7, 0, Fraction(1, 2), Fraction(-5, 3)):
+        assert Poly((c,)) == c
+        assert hash(Poly((c,))) == hash(c)
+    assert Poly((3,)) in {3: 0}
+    assert Poly((Fraction(1, 2),)) in {Fraction(1, 2)}
+    assert Poly(()) in {0} and 0 in {Poly(())}
+    assert Poly((3,)) in {Poly((3,))} and Poly((0, 3)) not in {3}
+
+
 def test_poly_gcd_is_monic_common_divisor():
     a = Poly((-1, 0, 1))  # t^2 - 1
     b = Poly((-1, 1))  # t - 1
@@ -129,6 +145,104 @@ def test_reduce_scale_invariance_and_idempotence():
 def test_reduce_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         ratfn_reduce(Poly((1,)), Poly(()))
+
+
+# The reduction by Euclid over Q that RatFn applied to every pair before the
+# certificate mod p: the oracle for the integer flow.
+def euclid_reduce(num, den):
+    if not num:
+        return Poly(()), Poly((1,))
+    g = poly_gcd(num, den)
+    if g.degree() > 0:
+        num = poly_exact_div(num, g)
+        den = poly_exact_div(den, g)
+    fracs = [Fraction(c) for c in den.coeffs]
+    mult = math.lcm(*[f.denominator for f in fracs])
+    ints = [int(f * mult) for f in fracs]
+    scale = Fraction(mult, math.gcd(*ints))
+    if ints[-1] < 0:
+        scale = -scale
+    return num * scale, den * scale
+
+
+def assert_canonical_as_euclid(num, den):
+    f = RatFn(num, den)
+    n, d = euclid_reduce(num, den)
+    # repr compares types too: an integral coefficient must be an int
+    assert (repr(f.num), repr(f.den)) == (repr(n), repr(d))
+
+
+P = (1 << 61) - 1
+COEFFS = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(lambda k, r: k * P + r, st.integers(-2, 2), st.integers(-1, 1)),
+)
+POLYS = st.lists(COEFFS, max_size=5).map(Poly)
+NONZERO = POLYS.filter(bool)
+FACTORS = st.lists(COEFFS, min_size=2, max_size=4).map(Poly).filter(lambda p: p.degree() > 0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(POLYS, NONZERO, FACTORS)
+def test_reduce_matches_euclid_over_q(a, b, c):
+    assert_canonical_as_euclid(a * c, b * c)
+    assert_canonical_as_euclid(a, b)
+
+
+def count_euclid_calls(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(exactnum, "poly_gcd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("num, den", [
+    # lc(den) divisible by p: the certificate does not apply
+    (Poly((1,)), Poly((1, P))),
+    (Poly((0, 1)), Poly((3, 2 * P))),
+    # ... which matters: the common factor 1 + pt vanishes to 1 mod p
+    (Poly((1, P)), Poly((3, 1 + 3 * P, P))),
+    # num nonzero but zero mod p
+    (Poly((P, P)), Poly((2, 1))),
+    (Poly((0, 0, -P)), Poly((1, 1, 1))),
+    # t and t + p: coprime over Q, not mod p
+    (Poly((0, 1)), Poly((P, 1))),
+    (Poly((P, 1)), Poly((0, 1))),
+    # a true common factor: the unreduced h of tests/golden_cli.json's
+    # common-factor presentation, (2 - t)^2 (1 - t) / (2 - t)^2
+    (Poly((4, -8, 5, -1)), Poly((4, -4, 1))),
+])
+def test_certificate_edge_cases_fall_back_to_euclid(monkeypatch, num, den):
+    calls = count_euclid_calls(monkeypatch)
+    assert_canonical_as_euclid(num, den)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("num, den", [
+    (Poly((1, 2, 3)), Poly((-4,))),  # constant den
+    (Poly((Fraction(1, 2), 3)), Poly((Fraction(2, 3),))),
+    (Poly((0, 2, -1)), Poly((3, -2))),  # negative leading coefficient
+    (Poly((5,)), Poly((6, -4, -2))),  # den with content 2 and a negative lead
+    (Poly((Fraction(1, 3), 1)), Poly((Fraction(-1, 2), Fraction(3, 4)))),
+    (Poly((1, P)), Poly((2, 1))),  # p divides num's lead only
+])
+def test_certified_pairs_skip_euclid(monkeypatch, num, den):
+    calls = count_euclid_calls(monkeypatch)
+    assert_canonical_as_euclid(num, den)
+    assert calls == []
+
+
+def test_zero_numerator_is_zero_over_one(monkeypatch):
+    calls = count_euclid_calls(monkeypatch)
+    for den in (Poly((1,)), Poly((-3, P)), Poly((0, 0, -2))):
+        f = RatFn(Poly(()), den)
+        assert (f.num.coeffs, f.den.coeffs) == ((), (1,))
+    assert calls == []
 
 
 # ---------------------------------------------------------------- ratfn_eval

@@ -1,10 +1,11 @@
 """Golden CLI transcripts: the exact stdout and exit code of every command
 that applies to a bundled fixture, and of ``h --expand 12`` and
-``gamma -n 12`` on seeded generated presentations, plain and ``--machine``;
-and the exit code, stdout and stderr of failing commands, with the input
-directory written as ``<dir>`` in stderr.  Usage errors are recorded by
-exit code only, since argparse words its messages differently between
-Python versions.
+``gamma -n 12`` on seeded generated presentations, of ``h`` and
+``h --expand 12`` on a presentation whose unreduced h has a common factor,
+and of ``selftest``, plain and ``--machine``; and the exit code, stdout and
+stderr of failing commands, with the input directory written as ``<dir>``
+in stderr.  Usage errors are recorded by exit code only, since argparse
+words its messages differently between Python versions.
 
 The recorded transcripts live in ``golden_cli.json`` next to this file.
 After an intended change of output, rewrite them with
@@ -51,6 +52,16 @@ ERROR_INPUTS = {
     "sequence.json": json.dumps({"gamma": [1, 3, 0, 0, 0]}).encode(),
     "short.json": json.dumps({"gamma": [1, 2]}).encode(),
 }
+# h's unreduced pair here is (4 - 8t + 5t^2 - t^3)/(4 - 4t + t^2), whose
+# common factor (2 - t)^2 the certificate mod p cannot rule out, so RatFn
+# reduces it by Euclid over Q to h = 1 - t.
+COMMON_FACTOR_DOC = {
+    "genus": 2,
+    "seifert_matrix": [[-1, -1, 1, 0], [-2, -2, -1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+    "v2": [-1, -1, 1, 0],
+    "v3": [2, 3, 0, 0],
+    "lk23": 0,
+}
 GENERATED = tuple(
     (seed, genus, f"gen-s{seed}-g{genus}.json") for genus in range(1, 5) for seed in range(5)
 )
@@ -77,6 +88,11 @@ def _generated_commands():
     for _, _, name in GENERATED:
         yield ("h", "--expand", "12", name)
         yield ("gamma", "-n", "12", name)
+
+
+def _common_factor_commands():
+    yield ("h", "common-factor.json")
+    yield ("h", "--expand", "12", "common-factor.json")
 
 
 def _error_commands():
@@ -150,6 +166,17 @@ def _generated_transcripts() -> dict:
         return _transcripts(_generated_commands(), Path(tmp))
 
 
+def _common_factor_transcripts() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / "common-factor.json").write_text(json.dumps(COMMON_FACTOR_DOC), encoding="utf-8")
+        return _transcripts(_common_factor_commands(), directory)
+
+
+def _selftest_transcripts() -> dict:
+    return _transcripts([("selftest",)], FIXTURES)
+
+
 def _error_transcripts() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -168,9 +195,11 @@ def _error_transcripts() -> dict:
 
 def _record() -> dict:
     return {
+        "common-factor": _common_factor_transcripts(),
         "errors": _error_transcripts(),
         "fixtures": _transcripts(_fixture_commands(), FIXTURES),
         "generated": _generated_transcripts(),
+        "selftest": _selftest_transcripts(),
     }
 
 
@@ -187,6 +216,16 @@ def test_fixture_transcripts():
 def test_generated_transcripts():
     golden = json.loads(DATA.read_text(encoding="utf-8"))
     assert _mismatches(_generated_transcripts(), golden["generated"]) == []
+
+
+def test_common_factor_transcripts():
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    assert _mismatches(_common_factor_transcripts(), golden["common-factor"]) == []
+
+
+def test_selftest_transcripts():
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    assert _mismatches(_selftest_transcripts(), golden["selftest"]) == []
 
 
 def test_error_transcripts():
