@@ -17,7 +17,7 @@ import sys
 from .equivalence import DISTINCT, EQUIVALENT, are_equivalent
 from .exactnum import RatFn, poly_str, series_expand_at_one
 from .fileformat import load_text, sequence_to_doc
-from .gamma import GammaSeq, SeifertPresentation, gamma_seq, h_closed_form
+from .gamma import GammaSeq, SeifertPresentation, gamma_seq, h_closed_form, prepare
 from .milnor import milnor_residues
 from .transforms import beta_from_gamma, mixed_gamma0, swap_seq
 
@@ -49,7 +49,7 @@ def _load(path: str):
 
 
 def _read_presentation(path: str) -> SeifertPresentation:
-    # validated by gamma_seq and h_closed_form, the library calls that use it
+    # validated by the library calls that use it: prepare, gamma_seq, h_closed_form
     kind, payload = _load(path)
     if kind != "presentation":
         raise ValueError(f"{path}: expected a presentation file (with 'seifert_matrix')")
@@ -138,8 +138,11 @@ def cmd_equiv(args) -> int:
         if args.order is None:
             raise ValueError("presentation inputs require -n ORDER")
         order = _order(args.order)
-        seq_a = _on(args.file_a, gamma_seq, payload_a, order)
-        seq_b = _on(args.file_b, gamma_seq, payload_b, order)
+        # both files are checked before either sequence is computed
+        prep_a = _on(args.file_a, prepare, payload_a)
+        prep_b = _on(args.file_b, prepare, payload_b)
+        seq_a = gamma_seq(prep_a, order)
+        seq_b = gamma_seq(prep_b, order)
     else:
         seq_a, _ = payload_a
         seq_b, _ = payload_b

@@ -16,7 +16,10 @@ with ``gamma_0 = lk23``.  The skew intersection form ``A`` of a genuine
 Seifert surface is unimodular, and being skew of even size its determinant
 is the square of its Pfaffian, hence exactly +1; :func:`validate` enforces
 this, which also makes ``A^-1`` integral so every gamma value is an
-integer.
+integer.  :func:`gamma_seq` takes gamma_1..gamma_2g from this recursion and,
+for long sequences, continues it with the scalar recurrence whose
+coefficients are those of the characteristic polynomial of ``A^-1 V``
+(Cayley-Hamilton); :func:`gamma_k` keeps the vector recursion alone.
 
 The whole sequence is equivalently packaged as a rational function: the
 Taylor coefficients at t = 1 of
@@ -30,9 +33,10 @@ bordered matrix ``[[M, v2], [-(t - 1) v3^T, lk23]]`` has determinant
 One fraction-free elimination of the bordered matrix yields both: with
 its pivots taken from the rows of ``M`` only, ``det M`` is its last
 leading pivot.
-That is a different route from the integer recursion above, and the test
-suites check coefficient-by-coefficient agreement between the two before
-anything relies on the closed form.
+That is a different route from the integer recursion above, its
+characteristic-polynomial continuation included, and the test suites check
+coefficient-by-coefficient agreement between the two before anything
+relies on the closed form.
 
 Whether a given matrix-valid presentation is realized by an actual link is
 not decided here; validation checks exactly the conditions forced by the
@@ -43,12 +47,14 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate, islice, repeat
+from operator import mul
 
 from .exactnum import Poly, RatFn, ratfn_reduce
 from .polylin import (
     IntMatrix,
     IntVector,
     bordered_det,
+    charpoly,
     det,
     identity,
     int_inverse,
@@ -182,41 +188,92 @@ def _require_valid(p: SeifertPresentation) -> None:
         raise ValueError("invalid presentation: " + "; ".join(problems))
 
 
-def _recursion(p: SeifertPresentation):
-    """Validate ``p`` and form ``A^-1`` and ``B = A^-1 V`` once, then return
-    an iterator over ``u_k = B^(k-1) A^-1 v2`` for k = 1, 2, ..., one
-    ``mat_vec`` per step.  Every recursion value is a view of it:
-    ``gamma_k = u_k . v3`` and ``(V A^-1)^k v2 = V u_k``."""
+class PreparedPresentation(Record):
+    """A presentation that passed :func:`validate`, with ``A^-1`` and
+    ``B = A^-1 V`` formed once; build it with :func:`prepare`."""
+
+    __slots__ = ("presentation", "a_inv", "b")
+
+    def __init__(self, presentation: SeifertPresentation, a_inv: IntMatrix, b: IntMatrix):
+        self._set(presentation, a_inv, b)
+
+
+def prepare(p: SeifertPresentation | PreparedPresentation) -> PreparedPresentation:
+    """Validate ``p`` and form ``A^-1`` and ``B = A^-1 V``, the integer data
+    every recursion value is read from; a prepared presentation is returned
+    as it is.  :func:`gamma_seq`, :func:`gamma_k` and
+    :func:`derivative_class` accept either, so several presentations can be
+    checked before any sequence work starts."""
+    if isinstance(p, PreparedPresentation):
+        return p
     _require_valid(p)
     a_inv = int_inverse(intersection_form(p))
-    b = mat_mul(a_inv, p.seifert_matrix)
-    return accumulate(repeat(b), lambda u, m: mat_vec(m, u), initial=mat_vec(a_inv, p.v2))
+    return PreparedPresentation(p, a_inv, mat_mul(a_inv, p.seifert_matrix))
 
 
-def derivative_class(p: SeifertPresentation, k: int) -> IntVector:
+def _recursion(prep: PreparedPresentation):
+    """Iterator over ``u_k = B^(k-1) A^-1 v2`` for k = 1, 2, ..., one
+    ``mat_vec`` per step.  Every recursion value is a view of it:
+    ``gamma_k = u_k . v3`` and ``(V A^-1)^k v2 = V u_k``."""
+    u1 = mat_vec(prep.a_inv, prep.presentation.v2)
+    return accumulate(repeat(prep.b), lambda u, m: mat_vec(m, u), initial=u1)
+
+
+def derivative_class(p: SeifertPresentation | PreparedPresentation, k: int) -> IntVector:
     """Homology class ``(V A^-1)^k v2`` of the k-fold derived second
     component in the surface complement."""
-    vectors = _recursion(p)
+    prep = prepare(p)
     if k < 1:
         raise ValueError("derivative order k must be positive")
-    return mat_vec(p.seifert_matrix, next(islice(vectors, k - 1, None)))
+    u = next(islice(_recursion(prep), k - 1, None))
+    return mat_vec(prep.presentation.seifert_matrix, u)
 
 
-def gamma_k(p: SeifertPresentation, k: int) -> int:
-    """The k-th gamma invariant of the presentation (k = 0 is ``lk23``)."""
-    vectors = _recursion(p)
+def gamma_k(p: SeifertPresentation | PreparedPresentation, k: int) -> int:
+    """The k-th gamma invariant of the presentation (k = 0 is ``lk23``),
+    from the vector recursion alone."""
+    prep = prepare(p)
     if k < 0:
         raise ValueError("gamma index must be nonnegative")
-    return vec_dot(next(islice(vectors, k - 1, None)), p.v3) if k else p.lk23
+    if not k:
+        return prep.presentation.lk23
+    return vec_dot(next(islice(_recursion(prep), k - 1, None)), prep.presentation.v3)
 
 
-def gamma_seq(p: SeifertPresentation, order: int) -> GammaSeq:
-    """Gamma invariants 0..order in a single pass of the linear recursion
-    (no repeated matrix powers)."""
-    vectors = _recursion(p)
+def _recurrence_pays(n: int, order: int) -> bool:
+    # charpoly costs about n^4/4 products; each of the order - n terms past
+    # the n-th saves the n^2 of a mat_vec
+    return 4 * (order - n) > n * n
+
+
+def gamma_seq(p: SeifertPresentation | PreparedPresentation, order: int) -> GammaSeq:
+    """Gamma invariants 0..order in a single pass, with no matrix powers.
+
+    Terms 1..n (n = 2g) come from the vector recursion, one ``mat_vec``
+    per term.  When the order is long enough for it to pay, every later
+    term comes from the characteristic polynomial
+    ``det(xI - B) = sum_i c_i x^(n-i)`` (:func:`~linkgamma.polylin.charpoly`):
+    by Cayley-Hamilton ``sum_i c_i B^(n-i) = 0``, and
+    ``gamma_k = v3^T B^(k-1) A^-1 v2`` for every k >= 1, so
+
+        gamma_k = -(c_1 gamma_(k-1) + ... + c_n gamma_(k-n)),   k > n,
+
+    n products a term instead of n^2.  ``gamma_0 = lk23`` is not of that
+    form, and the recurrence never reads it.
+    """
+    prep = prepare(p)
     if order < 0:
         raise ValueError("sequence order must be nonnegative")
-    return GammaSeq((p.lk23, *(vec_dot(u, p.v3) for u in islice(vectors, order))))
+    v3 = prep.presentation.v3
+    n = len(v3)
+    head = n if _recurrence_pays(n, order) else order
+    terms = islice(_recursion(prep), head)
+    entries = [prep.presentation.lk23, *[vec_dot(u, v3) for u in terms]]
+    if head < order:
+        coeffs = [-c for c in charpoly(prep.b)[:0:-1]]  # -c_n, ..., -c_1
+        for k in range(n + 1, order + 1):
+            entries.append(sum(map(mul, coeffs, entries[k - n : k])))
+    return GammaSeq(tuple(entries))
 
 
 def h_closed_form(p: SeifertPresentation) -> RatFn:

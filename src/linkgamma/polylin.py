@@ -13,7 +13,8 @@ So one elimination yields every leading minor as a pivot; a pairing
 ``c^T adj(M) b`` is read off one bordered determinant,
 ``det([[M, b], [-c^T, d]]) = d det(M) + c^T adj(M) b``, which
 :func:`bordered_det` returns together with ``det(M)``; and the integer
-inverse is the Schur complement block of ``[[A, I], [I, 0]]``.
+inverse is the Schur complement block of ``[[A, I], [I, 0]]``.  The
+characteristic polynomial, :func:`charpoly`, needs no division at all.
 """
 
 from __future__ import annotations
@@ -151,6 +152,36 @@ def bordered_det(m, b, c, d):
     if not sign:
         raise ValueError("bordered determinant requires a nonsingular matrix")
     return e[n - 1][n - 1] * sign, e[n][n] * sign
+
+
+def charpoly(m) -> IntVector:
+    """Coefficients ``(c_0, ..., c_n)`` of ``det(xI - M) = sum_i c_i x^(n-i)``
+    for a square integer matrix, so ``c_0 = 1``, ``c_1 = -trace(M)`` and
+    ``c_n = (-1)^n det(M)``; Berkowitz's division-free algorithm (Berkowitz
+    1984).
+
+    The leading principal blocks are bordered one row and column at a time.
+    For ``M' = [[M, C], [R, a]]`` with ``p = det(xI - M)``,
+    ``det(xI - M') = (x - a) p - R adj(xI - M) C``, and expanding the
+    adjugate in powers of x turns that into one lower-triangular Toeplitz
+    product: ``p'`` is the convolution of ``p`` with
+    ``(1, -a, -R C, -R M C, ..., -R M^(k-1) C)``, k the size of M.  Only
+    sums and products of integers occur, about n^4/4 products in all.
+    """
+    rows = _square_rows(m, "characteristic polynomial")
+    if _classify(rows)[0] != "int":
+        raise TypeError("charpoly is defined for integer matrices")
+    c = [1]
+    for k, row in enumerate(rows):
+        lead = [r[:k] for r in rows[:k]]
+        left = row[:k]
+        v = [r[k] for r in rows[:k]]
+        toeplitz = [1, -row[k]]
+        for _ in range(k):
+            toeplitz.append(-vec_dot(left, v))
+            v = mat_vec(lead, v)
+        c = [sum(map(mul, toeplitz[i::-1], c)) for i in range(k + 2)]
+    return tuple(c)
 
 
 def _minor(rows, i, j):

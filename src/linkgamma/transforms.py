@@ -10,7 +10,6 @@ than returning a silently shortened sequence.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 from operator import add, mul, neg
 
@@ -83,7 +82,11 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
 def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:
     """Linking number of the p-fold derived second component with the
     l-fold derived third component, read off the plain gamma sequence as
-    ``(-1)^l * sum_j C(l-1, j-1) s[p+j]`` for ``1 <= j <= l``."""
+    ``(-1)^l * sum_j C(l-1, j-1) s[p+j]`` for ``1 <= j <= l``.
+
+    The binomials are one row, built left to right by
+    ``C(l-1, j) = C(l-1, j-1) * (l-j) / j``, each division exact, so the
+    whole value is O(l) products."""
     if p < 0:
         raise ValueError("derivative count p must be nonnegative")
     if l < 1:
@@ -92,7 +95,10 @@ def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:
         raise ValueError(
             f"insufficient sequence order: need at least {p + l}, have {s.order}"
         )
-    acc = sum(math.comb(l - 1, j) * s.entries[p + 1 + j] for j in range(l))
+    binoms = [1]
+    for j in range(1, l):
+        binoms.append(binoms[-1] * (l - j) // j)
+    acc = sum(map(mul, binoms, s.entries[p + 1 : p + 1 + l]))
     return -acc if l % 2 else acc
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkgamma import cli, gamma
+from linkgamma import cli, gamma, polylin
 from linkgamma.cli import main
 from linkgamma.fileformat import sequence_from_doc
 from linkgamma.gamma import GammaSeq, gen_presentation
@@ -231,6 +231,37 @@ def test_each_presentation_is_validated_once(capsys, argv, files):
     finally:
         sys.setprofile(None)
     assert (code, calls) == (0, files)
+
+
+def count_calls(func, thunk):
+    # calls of the function itself, however a caller has bound it
+    target = func.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is target
+
+    sys.setprofile(profile)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_equiv_checks_both_presentations_before_any_sequence(capsys, tmp_path):
+    bad = write(tmp_path, "bad.json", {
+        "genus": 1, "seifert_matrix": [[0, 2], [0, 0]], "v2": [1, 0], "v3": [0, 1], "lk23": 0,
+    })
+    (code, _, err), calls = count_calls(
+        polylin.mat_vec, lambda: run(capsys, "equiv", "-n", "5000", POWERS, bad)
+    )
+    assert code == 2 and err.startswith(f"error: {bad}: invalid presentation")
+    # forming A^-1 and B for the valid file is all the matrix work that ran
+    valid = cli._read_presentation(POWERS)
+    _, preparing = count_calls(polylin.mat_vec, lambda: gamma.prepare(valid))
+    assert calls == preparing
 
 
 # ----------------------------------------------------------------- cmd: equiv

@@ -1,15 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkgamma.exactnum import Poly, ratfn_eval, ratfn_reduce, series_expand_at_one
 from linkgamma.gamma import (
     GammaSeq,
+    PreparedPresentation,
     SeifertPresentation,
+    _recurrence_pays,
     derivative_class,
     gamma_k,
     gamma_seq,
     gen_presentation,
     h_closed_form,
     intersection_form,
+    prepare,
     validate,
 )
 from linkgamma.polylin import adjugate, bordered_det, det, int_inverse, mat_vec, vec_dot
@@ -71,6 +76,7 @@ def test_operations_reject_invalid_presentation():
         lambda: gamma_seq(bad, 3),
         lambda: h_closed_form(bad),
         lambda: derivative_class(bad, 1),
+        lambda: prepare(bad),
     ):
         with pytest.raises(ValueError, match="invalid presentation"):
             op()
@@ -119,6 +125,41 @@ def test_gamma_seq_matches_gamma_k_pointwise():
         seq = gamma_seq(p, 9)
         for k in range(10):
             assert seq.entries[k] == gamma_k(p, k)
+
+
+def recurrence_orders(n):
+    # the last order the vector recursion covers alone, and the first the
+    # characteristic-polynomial recurrence continues
+    last_vector = n + n * n // 4
+    assert not _recurrence_pays(n, last_vector) and _recurrence_pays(n, last_vector + 1)
+    return (n - 1, n, n + 1, last_vector, last_vector + 1, 4 * n + 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), genus=st.integers(1, 8), pick=st.integers(0, 5))
+def test_gamma_seq_recurrence_matches_vector_recursion(seed, genus, pick):
+    p = gen_presentation(seed, genus, 3)
+    order = recurrence_orders(2 * genus)[pick]
+    prep = prepare(p)
+    assert gamma_seq(p, order).entries == tuple(gamma_k(prep, k) for k in range(order + 1))
+
+
+def test_gamma_seq_long_recurrence_matches_vector_recursion():
+    for genus in (1, 2, 3, 4):
+        p = gen_presentation(genus, genus, 5)
+        seq = gamma_seq(p, 300)
+        assert seq.entries[-3:] == tuple(gamma_k(p, k) for k in (298, 299, 300))
+
+
+def test_prepared_presentation_is_accepted_everywhere():
+    for p in corpus(6):
+        prep = prepare(p)
+        assert isinstance(prep, PreparedPresentation) and prepare(prep) is prep
+        assert prep.presentation == p
+        assert prep.a_inv == int_inverse(intersection_form(p))
+        assert gamma_seq(prep, 12) == gamma_seq(p, 12)
+        assert gamma_k(prep, 7) == gamma_k(p, 7)
+        assert derivative_class(prep, 3) == derivative_class(p, 3)
 
 
 def test_gamma_values_are_integers_up_to_32():

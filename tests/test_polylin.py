@@ -7,6 +7,7 @@ from linkgamma.polylin import (
     NotUnimodularError,
     adjugate,
     bordered_det,
+    charpoly,
     det,
     identity,
     int_inverse,
@@ -236,6 +237,72 @@ def test_int_inverse_matches_adjugate_reference():
             d = det(m)
             assert d in (1, -1)
             assert int_inverse(m) == tuple(tuple(d * e for e in row) for row in adjugate(m))
+
+
+# ------------------------------------------------------------------- charpoly
+
+
+def char_matrix_det(m):
+    # independent route: det(xI - M) by the Poly elimination, highest power first
+    n = len(m)
+    xi_m = [[Poly((-m[i][j], int(i == j))) for j in range(n)] for i in range(n)]
+    return tuple(reversed(det(xi_m).coeffs))
+
+
+def zero_diagonal(rng, n):
+    return tuple(tuple(0 if i == j else rng.randint(-9, 9) for j in range(n)) for i in range(n))
+
+
+def non_unimodular(rng, n):
+    while True:
+        m = rand_int_matrix(rng, n)
+        if abs(det(m)) > 1:
+            return m
+
+
+def singular(rng, n):
+    # last row is a combination of the others (a zero row when n = 1)
+    rows = [list(r) for r in rand_int_matrix(rng, n)][: n - 1]
+    coef = [rng.randint(-2, 2) for _ in rows]
+    rows.append([sum(c * r[j] for c, r in zip(coef, rows)) for j in range(n)])
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("kind", ["non-unimodular", "zero-diagonal", "singular", "unimodular"])
+def test_charpoly_matches_determinant_of_char_matrix(n, kind):
+    rng = random.Random(1000 * n + len(kind))
+    make = {
+        "non-unimodular": non_unimodular,
+        "zero-diagonal": zero_diagonal,
+        "singular": singular,
+        "unimodular": rand_signed_unimodular,
+    }[kind]
+    for _ in range(6):
+        m = make(rng, n)
+        c = charpoly(m)
+        assert c == char_matrix_det(m)
+        assert c[0] == 1 and c[1] == -sum(m[i][i] for i in range(n))
+        assert c[-1] == (-1) ** n * det(m)
+        if kind == "singular":
+            assert c[-1] == 0
+        if kind == "non-unimodular":
+            assert abs(c[-1]) > 1
+
+
+def test_charpoly_small_cases():
+    assert charpoly(((3,),)) == (1, -3)
+    assert charpoly(((0, 1), (-1, 0))) == (1, 0, 1)
+    assert charpoly(((0, 0), (0, 0))) == (1, 0, 0)
+    # nilpotent: x^3
+    assert charpoly(((0, 1, 0), (0, 0, 1), (0, 0, 0))) == (1, 0, 0, 0)
+
+
+def test_charpoly_rejects_non_integer_and_non_square():
+    with pytest.raises(ValueError):
+        charpoly(((1, 2),))
+    with pytest.raises(TypeError):
+        charpoly(((Poly((1, 1)),),))
 
 
 def test_transpose_involution():

@@ -132,6 +132,16 @@ def test_mixed_examples():
     assert mixed_gamma0(GammaSeq((3, 2, 0, 0, 0)), 1, 3) == 0
 
 
+def test_mixed_matches_comb_sum():
+    # oracle: the defining sum with a fresh math.comb per term
+    rng = random.Random(131)
+    s = GammaSeq(tuple(rng.randint(-10**30, 10**30) for _ in range(161)))
+    for p in range(81):
+        for l in range(1, 81):
+            acc = sum(math.comb(l - 1, j - 1) * s.entries[p + j] for j in range(1, l + 1))
+            assert mixed_gamma0(s, p, l) == (-1) ** l * acc
+
+
 def test_mixed_order_and_argument_errors():
     s = GammaSeq((0, 1, 2))
     with pytest.raises(ValueError, match="insufficient sequence order"):
