@@ -214,6 +214,32 @@ def _coprime_mod_p(num, den) -> bool:
     return len(a) == 1
 
 
+def _berlekamp_massey(entries):
+    """Berlekamp-Massey over Z/p (Massey 1969), p = 2^61 - 1.  After each
+    entry read it yields ``(length, d, c)``: the length of the shortest
+    linear recurrence the entries read so far satisfy modulo p, the
+    discrepancy of the last entry against the recurrence before it (0 when
+    it already satisfied that one), and the connection polynomial ``c``,
+    with ``c[0] == 1``, whose product with the entries read vanishes mod p
+    at every index from ``length`` on.  A yielded ``c`` is never changed
+    later; trailing zeros may pad it."""
+    c, b = [1], [1]
+    length, gap, b_inv = 0, 1, 1
+    seen = []
+    for k, e in enumerate(entries):
+        seen.append(e % _P)
+        d = sum(map(mul, c, reversed(seen))) % _P
+        if d:
+            q = d * b_inv % _P
+            old = c
+            c = c + [0] * (gap + len(b) - len(c))
+            c[gap : gap + len(b)] = [(x - q * y) % _P for x, y in zip(c[gap:], b)]
+            if 2 * length <= k:
+                length, b, b_inv, gap = k + 1 - length, old, pow(d, -1, _P), 0
+        gap += 1
+        yield length, d, c
+
+
 def _mag_str(c) -> str:
     s = str(c)
     return f"({s})" if "/" in s else s
@@ -356,26 +382,33 @@ def _taylor_shift_one(p: Poly) -> Poly:
     return acc
 
 
+def _series_quotient(num, den, order: int) -> list:
+    """Coefficients 0..order of the power series ``num/den``, for
+    coefficient sequences with ``den[0] != 0``: one exact division for the
+    reciprocal of ``den[0]``, then each coefficient
+    ``c_k = (num_k - sum_j den_j c_(k-j)) / den_0`` is a product by it,
+    which a denominator with ``den[0] == 1`` skips."""
+    inv = _div(1, den[0])
+    tail = den[1:]
+    out = []
+    for k in range(order + 1):
+        c = (num[k] if k < len(num) else 0) - sum(map(mul, tail, reversed(out)))
+        out.append(c if inv == 1 else _coeff(c * inv))
+    return out
+
+
 def series_expand_at_one(f: RatFn, order: int) -> Series:
     """Exact Taylor coefficients of ``f`` at t = 1, indices ``0..order``.
 
     Substitutes t = 1 + x and divides the shifted numerator by the shifted
-    denominator as truncated power series: one exact division for the
-    reciprocal of the denominator's constant term, then each coefficient
-    ``c_k = (p_k - sum_j q_j c_(k-j)) / q_0`` is a multiplication by it.
+    denominator as truncated power series.
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    p = _taylor_shift_one(f.num).coeffs + (0,) * (order + 1)
     q = _taylor_shift_one(f.den).coeffs
     if not q or q[0] == 0:
         raise ZeroDivisionError("expansion center is a pole")
-    q0_inv = _div(1, q[0])
-    tail = q[1:]
-    out = []
-    for pk in p[: order + 1]:
-        out.append(_coeff((pk - sum(map(mul, tail, reversed(out)))) * q0_inv))
-    return Series(out)
+    return Series(_series_quotient(_taylor_shift_one(f.num).coeffs, q, order))
 
 
 def series_compose(outer: Series, inner: Series, order: int) -> Series:

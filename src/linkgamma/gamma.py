@@ -55,6 +55,7 @@ from .polylin import (
     IntVector,
     bordered_det,
     charpoly,
+    charpoly_cost,
     det,
     identity,
     int_inverse,
@@ -241,9 +242,10 @@ def gamma_k(p: SeifertPresentation | PreparedPresentation, k: int) -> int:
 
 
 def _recurrence_pays(n: int, order: int) -> bool:
-    # charpoly costs about n^4/4 products; each of the order - n terms past
-    # the n-th saves the n^2 of a mat_vec
-    return 4 * (order - n) > n * n
+    # Work counted as calls into C plus the products they take: a term past
+    # the n-th costs the vector recursion n + 1 sums of n products (a
+    # mat_vec and a vec_dot) and the recurrence one
+    return charpoly_cost(n) < (order - n) * n * (n + 1)
 
 
 def gamma_seq(p: SeifertPresentation | PreparedPresentation, order: int) -> GammaSeq:

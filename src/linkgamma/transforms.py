@@ -6,21 +6,133 @@ binomial sums in the sequence entries, so each is exact, additive in the
 sequence, and needs only entries up to the index it produces.  Operations
 fail loudly when the requested index exceeds the truncation order rather
 than returning a silently shortened sequence.
+
+The shift multiplies the generating function by ``1 + x``.  A gamma
+sequence, and every shifted copy of one, expands a short rational function
+(h at t = 1 + x), so :func:`apply_shift` shifts such a form, found by
+Berlekamp-Massey modulo a prime and checked exactly, instead of the entries.
+Sequences without a short form are shifted entry by entry.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import add, mul, neg
+from itertools import accumulate, compress, count, repeat, zip_longest
+from math import isqrt
+from operator import add, mul, ne, neg
 
+from .exactnum import _P, _berlekamp_massey, _series_quotient
 from .gamma import GammaSeq
 
 
-# Above this many steps per index, apply_shift takes the binomial sum.  Timed
-# on Python 3.11, the sum overtakes the steps at |n| of 1.5 to 2 times the
-# order at orders 8 to 300, and only at 6 to 8 times at order 1000 with
-# entries of ~2000 bits, where its binomials grow to thousands of bits.
+# Without a short form, above this many steps per index apply_shift takes the
+# binomial sum.  Timed on Python 3.11, the sum overtakes the steps at |n| of
+# 1.5 to 2 times the order at orders 8 to 300, and only at 6 to 8 times at
+# order 1000 with entries of ~2000 bits, where its binomials grow to
+# thousands of bits.
 _SHIFT_STEPS_PER_INDEX = 4
+
+# A search for a short form that finds none may cost at most this fraction
+# of the work it falls back to, counted as in apply_shift.
+_MISS_SHARE = 64
+
+
+def _binomials(n: int, size: int) -> list[int]:
+    """``C(n, 0), ..., C(n, size - 1)``, generalized binomials for n < 0,
+    built by ``C(n, j) = C(n, j-1) (n-j+1) / j``, each division exact."""
+    row = [1]
+    for j in range(1, size):
+        row.append(row[-1] * (n - j + 1) // j)
+    return row
+
+
+def _product(a, b, order: int) -> list:
+    """Coefficients 0..order of the product of coefficient lists a and b,
+    one pass over b per term of a, so a should be the shorter."""
+    out = [0] * (order + 1)
+    for j, aj in enumerate(a[: order + 1]):
+        if aj:
+            m = min(len(b), order + 1 - j)
+            out[j : j + m] = map(add, out[j : j + m], map(mul, repeat(aj), b[:m]))
+    return out
+
+
+def _times_binomial(p, e: int, order: int) -> list:
+    """Coefficients 0..order of ``(1+x)^e p``."""
+    return _product(p, _binomials(e, order + 1) if e else [1], order)
+
+
+def _lift(c) -> tuple[list[int], int]:
+    """``(C, k)`` with ``C[0] == 1``: the integer ``(1+x)^k C`` is what a
+    connection polynomial c mod p proposes.  A shift brings in factors
+    1 + x, whose binomial coefficients soon exceed p/2, so those are
+    divided out mod p before the symmetric lift."""
+    c = list(c)
+    while not c[-1]:
+        c.pop()
+    k = 0
+    while len(c) > 1:
+        q = list(accumulate(c[:-1], lambda a, b: (b - a) % _P))  # c = (1+x) q + r
+        if (c[-1] - q[-1]) % _P:
+            break
+        c, k = q, k + 1
+    return [v - _P if v > _P >> 1 else v for v in c], k
+
+
+def _mismatch(num, den, e: int, s: GammaSeq, upto: int):
+    """The first index up to ``upto`` where ``(1+x)^e num`` and ``den s``
+    differ, or None."""
+    pairs = map(ne, _times_binomial(num, e, upto), _product(den, s.entries, upto))
+    return next(compress(count(), pairs), None)
+
+
+def _form_search(head, first, e: int, s: GammaSeq, limit: int):
+    """Search, one entry of ``head`` per step, for a form of the x with
+    ``(1+x)^e x = s``: integer lists P and C, ``C[0] == 1`` and at most
+    ``limit`` terms in P, with ``(1+x)^f P/C = s`` through s's order.
+    Yields None after each step, then ``(P, C, f)`` if found.  ``head``
+    iterates the leading entries of x, ``first(m)`` gives m of them exactly.
+
+    Berlekamp-Massey proposes a connection polynomial ``(1+x)^k C`` once a
+    recurrence of length L has held past 2L entries, P is the first L terms
+    of ``(1+x)^k C x``, f is e - k, and ``(1+x)^f P = C s`` is checked
+    outright, first on the entries read, where a C lifted from rational
+    coefficients fails cheaply.  A first difference at index j means x
+    satisfies no recurrence shorter than j + 1 - L, so the search then
+    stops or waits for the next proposal."""
+    need, rejected = 0, None
+    for k, (length, d, c) in enumerate(_berlekamp_massey(head)):
+        if length > limit:
+            return
+        if not (d or k < need or 2 * length > k or c is rejected):
+            den, m = _lift(c)
+            num = _product(_times_binomial(den, m, len(den) + m - 1), first(length), length - 1)
+            j = _mismatch(num, den, e - m, s, k)
+            if j is None:
+                j = _mismatch(num, den, e - m, s, s.order)
+                if j is None:
+                    yield num, den, e - m
+                    return
+            if j + 1 - length > limit:
+                return
+            need, rejected = j + 1, c
+        yield None
+
+
+def _short_form(s: GammaSeq, n: int, limit: int):
+    """``(P, C, e)`` from searches for a form of s (e = 0) and of T^n s
+    (e = -n) run in step, so that a form found early ends both, or None."""
+    # a search that has read 2 * limit + 2 entries has found its form or
+    # passed the limit
+    reach = min(s.order + 1, 2 * limit + 2)
+    row = _binomials(n, reach)
+    row_p = [b % _P for b in row]
+    s_p = [e % _P for e in s.entries[:reach]]
+    shifted = (sum(map(mul, row_p, s_p[k::-1])) for k in range(reach))
+    searches = zip_longest(
+        _form_search(s.entries[:reach], lambda m: s.entries[:m], 0, s, limit),
+        _form_search(shifted, lambda m: [sum(map(mul, row, s.entries[k::-1]))
+                                         for k in range(m)], -n, s, limit))
+    return next((form for found in searches for form in found if form), None)
 
 
 def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
@@ -30,21 +142,41 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     Entry k of the result depends only on entries up to k, so the
     truncation order is preserved.
 
-    For |n| up to 4 times the order the operator is applied step by step:
-    a forward step is one pass adding the list to itself offset by one,
-    and in the sign-alternated form ``c[k] = (-1)^k s[k]`` an inverse
-    step is a plain prefix sum, so the signs are flipped once, |n| prefix
-    sums are taken, and the signs are flipped back.  For larger |n| the
-    cost must not grow with n: T^n multiplies the generating function by
-    ``(1+x)^n``, so entry k is ``sum_j C(n, j) s[k-j]``, with generalized
-    binomials for n < 0, about order^2/2 products for any n."""
-    if abs(n) > _SHIFT_STEPS_PER_INDEX * s.order:
-        binoms = [1]
-        for j in range(1, s.order + 1):
-            binoms.append(binoms[-1] * (n - j + 1) // j)
-        rev = s.entries[::-1]
-        return GammaSeq(tuple([sum(map(mul, binoms[: k + 1], rev[s.order - k :]))
-                               for k in range(s.order + 1)]))
+    T^n multiplies the generating function by ``(1+x)^n``.  Counting
+    big-integer products and additions, and calls into C, per entry, the
+    steps cost |n|, and a form ``(1+x)^e P/C = s`` 2|P| + 4|C| + 11, at
+    most 6L + 15 for L terms in P: a binomial row (5), a product by it,
+    ``C s`` to check the form, a comparison (1), and the division by C (7
+    and the products) that expands ``(1+x)^(e+n) P/C``.  Forms are sought
+    while 6L + 15 stays below |n| and below order + 4, the count for the
+    binomial sum ``sum_j C(n, j) s[k-j]``, and while a miss costs at most
+    1/64 of that fallback: a search up to L reads 2L + 2 leading entries,
+    about 6 (L + 1)^2 operations on residues.  Berlekamp-Massey modulo
+    p = 2^61 - 1 proposes an integer C with ``C[0] == 1`` in two searches
+    run in step:
+
+    - **A form of s** (e = 0): ``P = C s`` through the order makes
+      ``s = P/C`` an identity there, for any such C.
+    - **A form of T^n s** (e = -n), from its leading entries by one
+      binomial row: ``(1+x)^(-n) P = C s`` is checked through the order,
+      and as T^-n is a bijection on truncations, P/C then expands T^n s.
+
+    No result rests on the modular guess.  Without a form, |n| up to 4
+    times the order takes the steps and larger |n| the binomial sum (the
+    form C = 1, P = s), whose cost does not grow with n.  A forward step
+    adds the list to itself offset by one, and in the sign-alternated form
+    ``c[k] = (-1)^k s[k]`` an inverse step is a prefix sum, so the signs are
+    flipped, |n| prefix sums taken, and flipped back."""
+    order = s.order
+    fallback = min(abs(n), order + 4)
+    limit = min((fallback - 16) // 6,
+                isqrt((order + 1) * fallback // (6 * _MISS_SHARE)) - 1)
+    form = _short_form(s, n, limit) if limit > 0 else None
+    if form:
+        num, den, e = form
+        return GammaSeq(_series_quotient(_times_binomial(num, e + n, order), den, order))
+    if abs(n) > _SHIFT_STEPS_PER_INDEX * order:
+        return GammaSeq(_times_binomial(s.entries, n, order))
     entries = list(s.entries)
     if n >= 0:
         for _ in range(n):
@@ -95,10 +227,7 @@ def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:
         raise ValueError(
             f"insufficient sequence order: need at least {p + l}, have {s.order}"
         )
-    binoms = [1]
-    for j in range(1, l):
-        binoms.append(binoms[-1] * (l - j) // j)
-    acc = sum(map(mul, binoms, s.entries[p + 1 : p + 1 + l]))
+    acc = sum(map(mul, _binomials(l - 1, l), s.entries[p + 1 : p + 1 + l]))
     return -acc if l % 2 else acc
 
 

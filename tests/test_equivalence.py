@@ -34,6 +34,27 @@ def rand_nonzero_seq(rng, order):
             return GammaSeq(entries)
 
 
+def nonzero_head_sequence(genus, order):
+    # a generated gamma sequence whose entry 0 or 1 is nonzero, so the
+    # exponent is pinned by its first two entries
+    seed = 0
+    while True:
+        s = gamma_seq(gen_presentation(seed, genus, 3), order)
+        if any(s.entries[:2]):
+            return s
+        seed += 1
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_order_1000_shifts_are_equivalent(genus):
+    s = nonzero_head_sequence(genus, 1000)
+    canon = canonicalize(s)[0]
+    for m in (0, 1, 500, 1000 - 2 * genus, 1000, 1003):
+        shifted = apply_shift(s, m)
+        assert are_equivalent(shifted, s) == EquivVerdict.equivalent(-m)
+        assert canonicalize(shifted)[0] == canon
+
+
 # ------------------------------------------------------------- are_equivalent
 
 

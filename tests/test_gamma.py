@@ -130,9 +130,18 @@ def test_gamma_seq_matches_gamma_k_pointwise():
 def recurrence_orders(n):
     # the last order the vector recursion covers alone, and the first the
     # characteristic-polynomial recurrence continues
-    last_vector = n + n * n // 4
+    last_vector = next(order for order in range(n, 10 * n * n) if _recurrence_pays(n, order + 1))
     assert not _recurrence_pays(n, last_vector) and _recurrence_pays(n, last_vector + 1)
     return (n - 1, n, n + 1, last_vector, last_vector + 1, 4 * n + 5)
+
+
+def test_recurrence_switch_keeps_short_sequences_on_the_vector_recursion():
+    # the order-(4g + 2) sequences of h's expansion check at genus 1-5 are
+    # too short to repay the characteristic polynomial; order 1000 is not
+    for genus in range(1, 6):
+        assert not _recurrence_pays(2 * genus, 4 * genus + 2)
+    for genus in range(1, 9):
+        assert _recurrence_pays(2 * genus, 1000)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkgamma.exactnum import Series, series_compose
-from linkgamma.gamma import GammaSeq
+from linkgamma.gamma import GammaSeq, SeifertPresentation, gamma_seq, gen_presentation
+from linkgamma.polylin import det, identity, mat_mul, transpose
+from linkgamma import transforms
 from linkgamma.transforms import (
+    _MISS_SHARE,
     _SHIFT_STEPS_PER_INDEX,
     apply_shift,
     beta_from_gamma,
@@ -55,7 +58,8 @@ def binom(n, j):
 
 def binomial_shift(e, n):
     # T^n multiplies the generating function by (1+x)^n
-    return tuple(sum(binom(n, j) * e[k - j] for j in range(k + 1)) for k in range(len(e)))
+    row = [binom(n, j) for j in range(len(e))]
+    return tuple(sum(row[j] * e[k - j] for j in range(k + 1)) for k in range(len(e)))
 
 
 def sequences(max_order):
@@ -81,6 +85,169 @@ def test_shift_step_and_binomial_paths_meet_at_the_threshold(order):
     for n in (edge - 1, edge, edge + 1, edge + 2, 10**12 + 7):
         for signed in (n, -n):
             assert apply_shift(s, signed).entries == binomial_shift(s.entries, signed)
+
+
+def singular_presentation(seed, genus):
+    # det V = 0, so B = A^-1 V is singular and the last coefficient of its
+    # characteristic polynomial, the recurrence's last, is 0: V is block
+    # diagonal with blocks [[a, 1], [0, 0]] (V - V^T symplectic), then
+    # congruent by shears, which keeps det(V - V^T) = 1 and det V = 0
+    rng = random.Random(seed)
+    n = 2 * genus
+    v = [[0] * n for _ in range(n)]
+    for b in range(0, n, 2):
+        v[b][b], v[b][b + 1] = rng.randint(-3, 3), 1
+    for _ in range(n):
+        r, c = rng.sample(range(n), 2)
+        shear = [list(row) for row in identity(n)]
+        shear[r][c] = rng.choice((-1, 1))
+        v = mat_mul(transpose(shear), mat_mul(v, shear))
+    assert det(v) == 0
+    vec = [rng.randint(-3, 3) for _ in range(n)]
+    return SeifertPresentation(genus, v, vec, vec[::-1], rng.randint(-3, 3))
+
+
+@st.composite
+def long_shifts(draw):
+    # (s, n): gamma sequences and their copies T^m s, whose own form grows
+    # with m, shifted back near -m as often as anywhere; sequences with no
+    # short form; zero and leading-zero ones.  n falls on both sides of the
+    # switch to a short form search (6L + 15 < |n|, L >= 1), of the cap
+    # order + 4 on its length, and of the switch from the steps to the
+    # binomial sum, and far past the order
+    order = draw(st.integers(60, 300))
+    edge = _SHIFT_STEPS_PER_INDEX * order
+    n = draw(st.one_of(
+        st.sampled_from([0, 1, 10, 11, 21, 22, 23, order + 3, order + 4, order + 5,
+                         edge, edge + 1, 10**12 + 7]),
+        st.integers(0, 2 * order + 10),
+    )) * draw(st.sampled_from([1, -1]))
+    kinds = ["gamma", "copy", "copy", "singular", "random", "zero", "leading-zero"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        bits = draw(st.integers(1, 200))
+        entries = draw(st.lists(st.integers(-2**bits, 2**bits),
+                                min_size=order + 1, max_size=order + 1))
+        return GammaSeq(tuple(entries)), n
+    if kind == "zero":
+        return GammaSeq((0,) * (order + 1)), n
+    genus = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "singular":
+        return gamma_seq(singular_presentation(seed, genus), order), n
+    s = gamma_seq(gen_presentation(seed, genus, 3), order)
+    if kind == "leading-zero":
+        zeros = draw(st.integers(1, 20))
+        return GammaSeq(((0,) * zeros + s.entries)[: order + 1]), n
+    if kind == "copy":
+        m = draw(st.one_of(st.integers(0, 20), st.integers(order // 3, order + 20)))
+        if draw(st.booleans()):
+            n = draw(st.integers(-m - 12, -m + 12))
+        return GammaSeq(binomial_shift(s.entries, m)), n
+    return s, n
+
+
+def test_shift_takes_each_route(monkeypatch):
+    # records which search found a form, None for searches that found none,
+    # and "sum" for the binomial sum over the entries
+    routes = []
+
+    def recording(s, n, limit):
+        form = short_form(s, n, limit)
+        if form is None:
+            routes.append(None)
+        return form
+
+    def searching(head, first, e, s, limit):
+        for form in form_search(head, first, e, s, limit):
+            if form:
+                routes.append("result" if e else "input")
+            yield form
+
+    def times_binomial(p, e, order):
+        if p is seq.entries:
+            routes.append("sum")
+        return times_binomial_(p, e, order)
+
+    short_form, form_search = transforms._short_form, transforms._form_search
+    times_binomial_ = transforms._times_binomial
+    monkeypatch.setattr(transforms, "_short_form", recording)
+    monkeypatch.setattr(transforms, "_form_search", searching)
+    monkeypatch.setattr(transforms, "_times_binomial", times_binomial)
+    s = gamma_seq(gen_presentation(3, 2, 3), 300)
+    copy = GammaSeq(binomial_shift(s.entries, 200))
+    edge_copy = GammaSeq(binomial_shift(s.entries, 297))  # its form fills the truncation
+    noise = rand_seq(random.Random(3), 300)
+    cases = [
+        (s, 200, ["input"]),
+        (s, -200, ["input"]),
+        (copy, -200, ["result"]),
+        (copy, -197, ["result"]),
+        (edge_copy, -300, ["result"]),
+        (s, 30, [None]),  # a search too short for s's form of 5 terms
+        (noise, 60, [None]),  # a miss, then the steps
+        (noise, -1200, [None]),  # the steps up to 4 times the order
+        (noise, 1201, [None, "sum"]),
+        (noise, -(10**12 + 7), [None, "sum"]),
+        (s, 21, []),  # no search pays: the steps
+    ]
+    for seq, n, found in cases:
+        routes.clear()
+        assert apply_shift(seq, n).entries == binomial_shift(seq.entries, n)
+        assert routes == found
+
+
+def test_a_miss_costs_a_small_share_of_the_fallback(monkeypatch):
+    # the search goes as far as a form beats the fallback and a miss costs
+    # at most 1/64 of it, counted per entry as |n| for the steps and
+    # order + 4 for the binomial sum; order-30 shifts, those of `equiv` on
+    # small files, never search
+    limits = []
+
+    class Searched(Exception):
+        pass
+
+    def recording(s, n, limit):
+        limits.append(limit)
+        raise Searched  # the fallback is not under test
+
+    monkeypatch.setattr(transforms, "_short_form", recording)
+    for order in (30, 300, 1000):
+        s = rand_seq(random.Random(order), order)
+        for n in (11, 21, 22, 60, 100, 500, order + 4, 4 * order + 1, 10**12 + 7):
+            for signed in (n, -n):
+                limits.clear()
+                try:
+                    apply_shift(s, signed)
+                except Searched:
+                    pass
+                per_entry = min(n, order + 4)
+                affords = [L for L in range(1, order)
+                           if 6 * L + 15 < per_entry
+                           and 6 * (L + 1) ** 2 * _MISS_SHARE <= (order + 1) * per_entry]
+                assert limits == affords[-1:]
+                assert order > 30 or limits == []
+
+
+def test_short_form_divides_out_powers_of_one_plus_x():
+    # T^-80 s: its denominator C (1+x)^80 has coefficients far above 2^61,
+    # so the lift divides 1 + x out of the proposal mod p.  apply_shift
+    # searches this far only from order 1683 on, so the limit is given
+    s = gamma_seq(gen_presentation(3, 2, 3), 600)
+    copy = GammaSeq(binomial_shift(s.entries, 500))
+    num, den, e = transforms._short_form(copy, -580, 100)
+    assert (len(den), e) == (5, 500)
+    assert (transforms._series_quotient(transforms._times_binomial(num, e - 580, 600), den, 600)
+            == list(binomial_shift(copy.entries, -580)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=long_shifts())
+@example(case=(GammaSeq(binomial_shift(gamma_seq(gen_presentation(5, 4, 3), 200).entries, 198)),
+               -201))  # a copy whose form fills the truncation, shifted back past it
+def test_long_shift_matches_closed_binomial_formula(case):
+    s, n = case
+    assert apply_shift(s, n).entries == binomial_shift(s.entries, n)
 
 
 # ------------------------------------------------------------------- swap_seq
