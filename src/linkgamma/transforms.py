@@ -11,7 +11,9 @@ The shift multiplies the generating function by ``1 + x``.  A gamma
 sequence, and every shifted copy of one, expands a short rational function
 (h at t = 1 + x), so :func:`apply_shift` shifts such a form, found by
 Berlekamp-Massey modulo a prime and checked exactly, instead of the entries.
-Sequences without a short form are shifted entry by entry.
+Sequences without a short form are shifted entry by entry.  The swap is
+t -> 1/t on h, so :func:`swap_seq` substitutes into such a form, linear in
+the order, and falls back to the quadratic table without one.
 """
 
 from __future__ import annotations
@@ -118,6 +120,12 @@ def _form_search(head, first, e: int, s: GammaSeq, limit: int):
         yield None
 
 
+def _own_search(s: GammaSeq, limit: int):
+    """The search for a form ``(1+x)^f P/C`` of s itself (e = 0)."""
+    head = s.entries[: 2 * limit + 2]
+    return _form_search(head, lambda m: s.entries[:m], 0, s, limit)
+
+
 def _short_form(s: GammaSeq, n: int, limit: int):
     """``(P, C, e)`` from searches for a form of s (e = 0) and of T^n s
     (e = -n) run in step, so that a form found early ends both, or None."""
@@ -129,7 +137,7 @@ def _short_form(s: GammaSeq, n: int, limit: int):
     s_p = [e % _P for e in s.entries[:reach]]
     shifted = (sum(map(mul, row_p, s_p[k::-1])) for k in range(reach))
     searches = zip_longest(
-        _form_search(s.entries[:reach], lambda m: s.entries[:m], 0, s, limit),
+        _own_search(s, limit),
         _form_search(shifted, lambda m: [sum(map(mul, row, s.entries[k::-1]))
                                          for k in range(m)], -n, s, limit))
     return next((form for found in searches for form in found if form), None)
@@ -190,6 +198,17 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     return GammaSeq(tuple(entries))
 
 
+def _reflect(p, d: int) -> list:
+    """Coefficients of ``(1+y)^d p(-y/(1+y))``, that is
+    ``sum_i p_i (-y)^i (1+y)^(d-i)``, for d at least the degree of p."""
+    out = [0] * (d + 1)
+    for i, pi in enumerate(p):
+        if pi:
+            row = _binomials(d - i, d + 1 - i)
+            out[i:] = map(add, out[i:], map(mul, repeat(-pi if i % 2 else pi), row))
+    return out
+
+
 def swap_seq(s: GammaSeq) -> GammaSeq:
     """Gamma sequence after swapping the second and third components.
 
@@ -197,11 +216,24 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     ``(-1)^k * sum_j C(k-1, j-1) s[j]`` for ``1 <= j <= k``, which is
     ``mixed_gamma0(s, 0, k)``.  The transform is an involution.
 
-    All entries come from one forward-sum table: row 0 is ``s[1:]`` and
-    row m+1 adds row m to itself offset by one, so entry i of row m is
-    ``sum_j C(m, j) s[i+1+j]`` and entry k is ``(-1)^k`` times the head of
-    row k-1.  That is about order^2/2 additions and no binomials.
+    The rule is x -> -y/(1+y), t -> 1/t on h, so a form ``(1+x)^f P/C``
+    of s, found and checked as in :func:`apply_shift`, swaps to
+    ``(1+y)^(-f) P~/C~``, ``P~ = (1+y)^d P(-y/(1+y))`` and C~ likewise for
+    d >= deg P, deg C: about 2|C| products per entry.  Without one, a
+    forward-sum table (row 0 is ``s[1:]``, row m+1 adds row m to itself
+    offset by one, entry k is ``(-1)^k`` times the head of row k-1) takes
+    order^2/2 additions, and a miss at most 1/64 of them: no swap below
+    order 55 searches.
     """
+    order = s.order
+    # a miss up to L terms costs 6 (L + 1)^2 operations, as in apply_shift
+    limit = isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1
+    form = next(filter(None, _own_search(s, limit)), None) if limit > 0 else None
+    if form:
+        num, den, f = form
+        d = max([len(den) - 1] + [i for i, v in enumerate(num) if v])
+        return GammaSeq(_series_quotient(
+            _times_binomial(_reflect(num, d), -f, order), _reflect(den, d), order))
     out = [s.entries[0]]
     row = list(s.entries[1:])
     while row:

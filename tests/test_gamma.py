@@ -18,6 +18,7 @@ from linkgamma.gamma import (
     validate,
 )
 from linkgamma.polylin import adjugate, bordered_det, det, int_inverse, mat_vec, vec_dot
+from linkgamma.transforms import swap_seq
 
 FIX = SeifertPresentation(1, ((0, 2), (1, 0)), (1, 0), (0, 1), 1)
 
@@ -242,6 +243,22 @@ def test_h_expansion_matches_iterative_path():
         order = max(12, 4 * p.genus + 2)
         expansion = series_expand_at_one(h_closed_form(p), order)
         assert expansion.coeffs == gamma_seq(p, order).entries
+
+
+@pytest.mark.parametrize("order", [60, 400])
+def test_swap_expands_h_at_one_over_t(order):
+    # the swap substitutes x = -y/(1+y), that is t -> 1/t on h, and h(1/t) is
+    # num and den reversed at their common degree: the recursion and
+    # swap_seq against the bordered determinant; order 400 swaps through a
+    # short form, order 60 through the table
+    for genus in range(1, 5):
+        for seed in range(10):
+            p = gen_presentation(seed, genus, 3)
+            h = h_closed_form(p)
+            size = max(len(h.num.coeffs), len(h.den.coeffs))
+            num, den = ((c.coeffs + (0,) * (size - len(c.coeffs)))[::-1] for c in (h.num, h.den))
+            expansion = series_expand_at_one(ratfn_reduce(Poly(num), Poly(den)), order)
+            assert swap_seq(gamma_seq(p, order)).entries == expansion.coeffs
 
 
 def pencil(p):

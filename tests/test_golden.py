@@ -2,6 +2,7 @@
 that applies to a bundled fixture, and of ``h --expand 12`` and
 ``gamma -n 12`` on seeded generated presentations, of ``h`` and
 ``h --expand 12`` on a presentation whose unreduced h has a common factor,
+of ``swap`` on an order-111 sequence with a short form and one without,
 and of ``selftest``, plain and ``--machine``; and the exit code, stdout and
 stderr of failing commands, with the input directory written as ``<dir>``
 in stderr.  Usage errors are recorded by exit code only, since argparse
@@ -14,6 +15,7 @@ After an intended change of output, rewrite them with
 """
 
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files as resource_files
@@ -21,7 +23,7 @@ from io import StringIO
 from pathlib import Path
 
 from linkgamma.cli import main
-from linkgamma.gamma import gen_presentation
+from linkgamma.gamma import gamma_seq, gen_presentation
 
 DATA = Path(__file__).with_name("golden_cli.json")
 FIXTURES = Path(str(resource_files("linkgamma") / "fixtures"))
@@ -65,6 +67,16 @@ COMMON_FACTOR_DOC = {
 GENERATED = tuple(
     (seed, genus, f"gen-s{seed}-g{genus}.json") for genus in range(1, 5) for seed in range(5)
 )
+
+# order 111 is the first at which swap_seq searches far enough for the form
+# (1 + x)^0 P/C of this genus-1 sequence, with 3 terms in P and C; adding +-1
+# to every entry leaves a sequence without a short form
+SWAP_SEQUENCE = gamma_seq(gen_presentation(1, 1, 3), 111).entries
+_noise = random.Random(1)
+SWAP_INPUTS = {
+    "swap-form.json": list(SWAP_SEQUENCE),
+    "swap-formless.json": [e + _noise.choice((-1, 1)) for e in SWAP_SEQUENCE],
+}
 
 
 def _fixture_commands():
@@ -173,6 +185,14 @@ def _common_factor_transcripts() -> dict:
         return _transcripts(_common_factor_commands(), directory)
 
 
+def _swap_transcripts() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, entries in SWAP_INPUTS.items():
+            (directory / name).write_text(json.dumps({"gamma": entries}), encoding="utf-8")
+        return _transcripts([("swap", name) for name in SWAP_INPUTS], directory)
+
+
 def _selftest_transcripts() -> dict:
     return _transcripts([("selftest",)], FIXTURES)
 
@@ -200,6 +220,7 @@ def _record() -> dict:
         "fixtures": _transcripts(_fixture_commands(), FIXTURES),
         "generated": _generated_transcripts(),
         "selftest": _selftest_transcripts(),
+        "swap": _swap_transcripts(),
     }
 
 
@@ -226,6 +247,11 @@ def test_common_factor_transcripts():
 def test_selftest_transcripts():
     golden = json.loads(DATA.read_text(encoding="utf-8"))
     assert _mismatches(_selftest_transcripts(), golden["selftest"]) == []
+
+
+def test_swap_transcripts():
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    assert _mismatches(_swap_transcripts(), golden["swap"]) == []
 
 
 def test_error_transcripts():

@@ -278,6 +278,89 @@ def test_swap_matches_generating_function_substitution():
         assert series_compose(tail, MOBIUS, 16) == Series((0,) + swapped.entries[1:])
 
 
+def pascal_swap(e):
+    # the forward-sum table: entry k is (-1)^k times the head of the row
+    # that k - 1 rounds of Pascal's rule leave of e[1:]
+    out, row = [e[0]], list(e[1:])
+    while row:
+        out.append(row[0])
+        row = [a + b for a, b in zip(row, row[1:])]
+    return tuple(-v if k % 2 else v for k, v in enumerate(out))
+
+
+@st.composite
+def long_swaps(draw):
+    # gamma sequences and copies T^m s at orders on both sides of the search
+    # budget (a form of 1 term is sought from order 55, L = 3 from 111 and
+    # L = 9 from 277), copies with factors 1 + x in C (m < 0) or a long P
+    # (m > 0), sequences with no short form, zero and leading-zero ones
+    order = draw(st.one_of(st.integers(55, 400), st.sampled_from([54, 55, 110, 111, 276, 277]),
+                           st.integers(900, 1000)))
+    kinds = ["gamma", "copy", "copy", "singular", "random", "zero", "leading-zero"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        bits = draw(st.integers(1, 200))
+        entries = draw(st.lists(st.integers(-2**bits, 2**bits),
+                                min_size=order + 1, max_size=order + 1))
+        return GammaSeq(tuple(entries))
+    if kind == "zero":
+        return GammaSeq((0,) * (order + 1))
+    genus = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "singular":
+        return gamma_seq(singular_presentation(seed, genus), order)
+    s = gamma_seq(gen_presentation(seed, genus, 3), order)
+    if kind == "leading-zero":
+        zeros = draw(st.integers(1, 20))
+        return GammaSeq(((0,) * zeros + s.entries)[: order + 1])
+    if kind == "copy":
+        m = draw(st.one_of(st.integers(-order, order + 20), st.integers(-12, 12)))
+        return apply_shift(s, m)
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=long_swaps())
+@example(s=apply_shift(gamma_seq(gen_presentation(1, 1, 3), 300), -3))  # f = -3
+@example(s=gamma_seq(singular_presentation(2, 2), 300))
+@example(s=GammaSeq(tuple(2**k for k in range(301))))  # 1/(1 - 2x): deg C > deg P
+def test_long_swap_matches_pascal_table(s):
+    assert swap_seq(s).entries == pascal_swap(s.entries)
+
+
+def test_swap_takes_each_route(monkeypatch):
+    # records each search, and the exponent f of each form (1+x)^f P/C found
+    routes = []
+
+    def searching(head, first, e, s, limit):
+        routes.append("search")
+        for form in form_search(head, first, e, s, limit):
+            if form:
+                routes.append(form[2])
+            yield form
+
+    form_search = transforms._form_search
+    monkeypatch.setattr(transforms, "_form_search", searching)
+    genus_1 = gamma_seq(gen_presentation(1, 1, 3), 300)  # a form of 3 terms
+    genus_4 = gamma_seq(gen_presentation(0, 4, 3), 300)  # a form of 9 terms
+    noise = random.Random(3)
+    cases = [
+        (genus_4, ["search", 0]),
+        (GammaSeq(genus_1.entries[:112]), ["search", 0]),  # the first order that can
+        (GammaSeq(genus_1.entries[:111]), ["search"]),  # a miss, then the table
+        (apply_shift(genus_1, -3), ["search", -3]),  # (1+x)^3 divided out of C
+        (apply_shift(genus_1, 200), ["search"]),  # P too long: the table
+        (GammaSeq(tuple(e + noise.choice((-1, 1)) for e in genus_4.entries)), ["search"]),
+        (GammaSeq(genus_1.entries[:56]), ["search"]),
+        (GammaSeq(genus_1.entries[:55]), []),  # no search pays below order 55
+        (GammaSeq(genus_4.entries[:31]), []),
+    ]
+    for seq, found in cases:
+        routes.clear()
+        assert swap_seq(seq).entries == pascal_swap(seq.entries)
+        assert routes == found
+
+
 @given(s=sequences(60))
 @example(s=GammaSeq((5,)))
 @example(s=GammaSeq((5, -7)))
