@@ -73,7 +73,8 @@ def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
     The leading index and leading value are shift-invariant, and the entry
     one past the leading index moves by (shift exponent) * (leading value),
     which pins the only candidate exponent; the remaining entries are then
-    compared outright.
+    compared outright, after shifting whichever sequence carries a form
+    (see :func:`~linkgamma.transforms.apply_shift`).
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
@@ -95,9 +96,13 @@ def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
     if diff % lead:
         return EquivVerdict.distinct(k + 1)
     n = diff // lead
-    shifted = apply_shift(a, n)
+    # T^-n is unitriangular, so a - T^-n b first differs where T^n a - b does
+    if b._form and not a._form:
+        shifted, other = apply_shift(b, -n), a
+    else:
+        shifted, other = apply_shift(a, n), b
     for idx in range(k + 1, a.order + 1):
-        if shifted.entries[idx] != b.entries[idx]:
+        if shifted.entries[idx] != other.entries[idx]:
             return EquivVerdict.distinct(idx)
     return EquivVerdict.equivalent(n)
 

@@ -389,10 +389,10 @@ def _series_quotient(num, den, order: int) -> list:
     ``c_k = (num_k - sum_j den_j c_(k-j)) / den_0`` is a product by it,
     which a denominator with ``den[0] == 1`` skips."""
     inv = _div(1, den[0])
-    tail = den[1:]
+    tail = [-d for d in den[1:]]
     out = []
     for k in range(order + 1):
-        c = (num[k] if k < len(num) else 0) - sum(map(mul, tail, reversed(out)))
+        c = sum(map(mul, tail, reversed(out)), num[k] if k < len(num) else 0)
         out.append(c if inv == 1 else _coeff(c * inv))
     return out
 

@@ -46,10 +46,11 @@ algebra.
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import accumulate, islice, repeat
 from operator import mul
 
-from .exactnum import Poly, RatFn, ratfn_reduce
+from .exactnum import Poly, RatFn, _series_quotient, ratfn_reduce
 from .polylin import (
     IntMatrix,
     IntVector,
@@ -67,9 +68,10 @@ from .polylin import (
 
 
 class Record:
-    """Immutable value with the fields named in ``__slots__``, in order.
+    """Immutable value with the fields named in ``__slots__``, in order; a
+    slot whose name starts with an underscore is private, not a field.
 
-    Subclasses set their fields once, in ``__init__`` through ``_set``;
+    Subclasses set their slots once, in ``__init__`` through ``_set``;
     after that, assigning or deleting an attribute raises
     ``AttributeError``.  Equality and hashing compare the field
     values of two records of the same class, ``repr`` shows every field,
@@ -77,13 +79,18 @@ class Record:
     """
 
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple([f for f in cls.__slots__ if not f.startswith("_")])
 
     def _set(self, *values) -> None:
         for field, value in zip(self.__slots__, values):
             object.__setattr__(self, field, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self.__slots__])
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -100,11 +107,22 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def build_records(cls, *columns) -> list:
+    """Records of ``cls`` from columns of slot values, in ``__slots__``
+    order, for values the library computed: no ``__init__`` and no checks,
+    each slot set through its own setter a column at a time, at about half
+    the cost of a constructor call per record."""
+    records = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(cls.__dict__[name].__set__, records, column), 0)
+    return records
 
 
 class SeifertPresentation(Record):
@@ -119,9 +137,15 @@ class SeifertPresentation(Record):
 
 
 class GammaSeq(Record):
-    """Truncated gamma sequence; ``entries[k]`` is the k-th invariant."""
+    """Truncated gamma sequence; ``entries[k]`` is the k-th invariant.
 
-    __slots__ = ("entries",)
+    A sequence that :func:`gamma_seq` continued through its recurrence
+    carries its form ``(P, C, 0)``: integer tuples with ``C[0] == 1`` such
+    that P/C expands to the entries through the order, the shape of the
+    forms :func:`~linkgamma.transforms.apply_shift` searches for.  The form
+    is not a field, and the public constructor never attaches one."""
+
+    __slots__ = ("entries", "_form")
 
     def __init__(self, entries: tuple[int, ...]):
         entries = tuple(entries)
@@ -130,7 +154,13 @@ class GammaSeq(Record):
         for e in entries:
             if not isinstance(e, int) or isinstance(e, bool):
                 raise TypeError("gamma entries must be integers")
-        self._set(entries)
+        self._set(entries, None)
+
+    @classmethod
+    def _built(cls, entries, form=None) -> "GammaSeq":
+        """A sequence of ints the library computed, unchecked, with the
+        form it holds by construction, if any."""
+        return build_records(cls, [tuple(entries)], [form])[0]
 
     @property
     def order(self) -> int:
@@ -261,7 +291,10 @@ def gamma_seq(p: SeifertPresentation | PreparedPresentation, order: int) -> Gamm
         gamma_k = -(c_1 gamma_(k-1) + ... + c_n gamma_(k-n)),   k > n,
 
     n products a term instead of n^2.  ``gamma_0 = lk23`` is not of that
-    form, and the recurrence never reads it.
+    form, and the recurrence never reads it.  So with
+    ``C = det(I - xB) = sum_i c_i x^i`` and P the product of C with terms
+    0..n, truncated to degree n, the sequence expands P/C, and the result
+    carries that form.
     """
     prep = prepare(p)
     if order < 0:
@@ -272,10 +305,10 @@ def gamma_seq(p: SeifertPresentation | PreparedPresentation, order: int) -> Gamm
     terms = islice(_recursion(prep), head)
     entries = [prep.presentation.lk23, *[vec_dot(u, v3) for u in terms]]
     if head < order:
-        coeffs = [-c for c in charpoly(prep.b)[:0:-1]]  # -c_n, ..., -c_1
-        for k in range(n + 1, order + 1):
-            entries.append(sum(map(mul, coeffs, entries[k - n : k])))
-    return GammaSeq(tuple(entries))
+        den = charpoly(prep.b)
+        num = tuple([sum(map(mul, den, entries[k::-1])) for k in range(n + 1)])
+        return GammaSeq._built(_series_quotient(num, den, order), (num, den, 0))
+    return GammaSeq._built(entries)
 
 
 def h_closed_form(p: SeifertPresentation) -> RatFn:

@@ -15,8 +15,9 @@ generators, and the gcd chain is unchanged under that move.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
-from .gamma import GammaSeq, Record
+from .gamma import GammaSeq, Record, build_records
 
 
 class MilnorResidue(Record):
@@ -36,10 +37,6 @@ def milnor_residues(s: GammaSeq) -> list[MilnorResidue]:
     taken as 0 and zeros ignored by gcd; equivalently the moduli follow
     the chain ``m[k+1] = gcd(m[k], |s[k]|)``.
     """
-    out = []
-    modulus = 0
-    for k, value in enumerate(s.entries):
-        residue = value % modulus if modulus else value
-        out.append(MilnorResidue(k, modulus, residue))
-        modulus = math.gcd(modulus, value)
-    return out
+    moduli = list(accumulate(s.entries[:-1], math.gcd, initial=0))
+    residues = [v % m if m else v for v, m in zip(s.entries, moduli)]
+    return build_records(MilnorResidue, range(len(residues)), moduli, residues)

@@ -13,7 +13,9 @@ sequence, and every shifted copy of one, expands a short rational function
 Berlekamp-Massey modulo a prime and checked exactly, instead of the entries.
 Sequences without a short form are shifted entry by entry.  The swap is
 t -> 1/t on h, so :func:`swap_seq` substitutes into such a form, linear in
-the order, and falls back to the quadratic table without one.
+the order, and falls back to the quadratic table without one.  A sequence
+that carries its form (see :class:`~linkgamma.gamma.GammaSeq`) is shifted
+through it without the search and the check.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ def _lift(c) -> tuple[list[int], int]:
             break
         c, k = q, k + 1
     return [v - _P if v > _P >> 1 else v for v in c], k
+
+
+def _carried_cost(form) -> int:
+    """Counted work per entry of expanding a carried form ``(1+x)^f P/C``,
+    which holds by construction: a binomial row (5), the product by it
+    (2|P|) and the division by C (2|C| + 5), with no search and no check."""
+    num, den, _ = form
+    return 2 * len(num) + 2 * len(den) + 10
 
 
 def _mismatch(num, den, e: int, s: GammaSeq, upto: int):
@@ -169,6 +179,10 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
       binomial row: ``(1+x)^(-n) P = C s`` is checked through the order,
       and as T^-n is a bijection on truncations, P/C then expands T^n s.
 
+    A form s carries holds by construction, so its expansion alone is
+    counted, 2|P| + 2|C| + 10, and taken when below the fallback, with no
+    search.
+
     No result rests on the modular guess.  Without a form, |n| up to 4
     times the order takes the steps and larger |n| the binomial sum (the
     form C = 1, P = s), whose cost does not grow with n.  A forward step
@@ -177,14 +191,17 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     flipped, |n| prefix sums taken, and flipped back."""
     order = s.order
     fallback = min(abs(n), order + 4)
-    limit = min((fallback - 16) // 6,
-                isqrt((order + 1) * fallback // (6 * _MISS_SHARE)) - 1)
-    form = _short_form(s, n, limit) if limit > 0 else None
+    if s._form:
+        form = s._form if _carried_cost(s._form) < fallback else None
+    else:
+        limit = min((fallback - 16) // 6,
+                    isqrt((order + 1) * fallback // (6 * _MISS_SHARE)) - 1)
+        form = _short_form(s, n, limit) if limit > 0 else None
     if form:
         num, den, e = form
-        return GammaSeq(_series_quotient(_times_binomial(num, e + n, order), den, order))
+        return GammaSeq._built(_series_quotient(_times_binomial(num, e + n, order), den, order))
     if abs(n) > _SHIFT_STEPS_PER_INDEX * order:
-        return GammaSeq(_times_binomial(s.entries, n, order))
+        return GammaSeq._built(_times_binomial(s.entries, n, order))
     entries = list(s.entries)
     if n >= 0:
         for _ in range(n):
@@ -195,7 +212,7 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
         for _ in range(-n):
             entries = list(accumulate(entries))
         entries[1::2] = map(neg, entries[1::2])
-    return GammaSeq(tuple(entries))
+    return GammaSeq._built(entries)
 
 
 def _reflect(p, d: int) -> list:
@@ -232,7 +249,7 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     if form:
         num, den, f = form
         d = max([len(den) - 1] + [i for i, v in enumerate(num) if v])
-        return GammaSeq(_series_quotient(
+        return GammaSeq._built(_series_quotient(
             _times_binomial(_reflect(num, d), -f, order), _reflect(den, d), order))
     out = [s.entries[0]]
     row = list(s.entries[1:])
@@ -240,7 +257,7 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
         out.append(row[0])
         row = list(map(add, row, row[1:]))
     out[1::2] = map(neg, out[1::2])
-    return GammaSeq(tuple(out))
+    return GammaSeq._built(out)
 
 
 def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:

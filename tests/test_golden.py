@@ -3,10 +3,11 @@ that applies to a bundled fixture, and of ``h --expand 12`` and
 ``gamma -n 12`` on seeded generated presentations, of ``h`` and
 ``h --expand 12`` on a presentation whose unreduced h has a common factor,
 of ``swap`` on an order-111 sequence with a short form and one without,
-and of ``selftest``, plain and ``--machine``; and the exit code, stdout and
-stderr of failing commands, with the input directory written as ``<dir>``
-in stderr.  Usage errors are recorded by exit code only, since argparse
-words its messages differently between Python versions.
+of ``equiv -n 300`` on pairs of presentations, and of ``selftest``, plain
+and ``--machine``; and the exit code, stdout and stderr of failing
+commands, with the input directory written as ``<dir>`` in stderr.  Usage
+errors are recorded by exit code only, since argparse words its messages
+differently between Python versions.
 
 The recorded transcripts live in ``golden_cli.json`` next to this file.
 After an intended change of output, rewrite them with
@@ -77,6 +78,40 @@ SWAP_INPUTS = {
     "swap-form.json": list(SWAP_SEQUENCE),
     "swap-formless.json": [e + _noise.choice((-1, 1)) for e in SWAP_SEQUENCE],
 }
+
+# equiv -n 300 on presentations whose sequences lead with +-1, so that every
+# exponent is admissible, at |n| = 21 to 58, around the count at which
+# apply_shift expands a carried form instead of stepping (2|P| + 2|C| + 10:
+# 22 / 30 / 38 at genus 1 / 2 / 3): pairs a-b and c-d, found by search,
+# agree past the index the exponent is read from; the others are generated
+# presentations against copies with v3 scaled
+def _presentation_doc(genus, v, v2, v3, lk23):
+    return {"genus": genus, "seifert_matrix": v, "v2": v2, "v3": v3, "lk23": lk23}
+
+
+def _scaled_doc(seed, genus, factor, lk23):
+    p = gen_presentation(seed, genus, 3)
+    return _presentation_doc(genus, p.seifert_matrix, p.v2, [factor * e for e in p.v3], lk23)
+
+
+EQUIV_INPUTS = {
+    "pair-a.json": _presentation_doc(1, [[5, 1], [0, 2]], [-3, 1], [3, -6], 1),
+    "pair-b.json": _presentation_doc(1, [[10, -1], [-2, -2]], [6, 5], [1, -2], 1),
+    "pair-c.json": _presentation_doc(1, [[-2, -2], [-3, 0]], [-4, 1], [-3, 3], 1),
+    "pair-d.json": _presentation_doc(1, [[3, 0], [-1, -5]], [0, -4], [3, 4], 1),
+    "g2.json": _scaled_doc(0, 2, 1, -1),
+    "g2-times-4.json": _scaled_doc(0, 2, 4, -1),
+    "g3.json": _scaled_doc(6, 3, 1, 1),
+    "g3-times-3.json": _scaled_doc(6, 3, 3, 1),
+}
+EQUIV_PAIRS = (
+    ("pair-a.json", "pair-b.json"),
+    ("pair-b.json", "pair-a.json"),
+    ("pair-c.json", "pair-d.json"),
+    ("g2.json", "g2-times-4.json"),
+    ("g2-times-4.json", "g2.json"),
+    ("g3.json", "g3-times-3.json"),
+)
 
 
 def _fixture_commands():
@@ -193,6 +228,14 @@ def _swap_transcripts() -> dict:
         return _transcripts([("swap", name) for name in SWAP_INPUTS], directory)
 
 
+def _presentation_equiv_transcripts() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, doc in EQUIV_INPUTS.items():
+            (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+        return _transcripts([("equiv", "-n", "300", a, b) for a, b in EQUIV_PAIRS], directory)
+
+
 def _selftest_transcripts() -> dict:
     return _transcripts([("selftest",)], FIXTURES)
 
@@ -219,6 +262,7 @@ def _record() -> dict:
         "errors": _error_transcripts(),
         "fixtures": _transcripts(_fixture_commands(), FIXTURES),
         "generated": _generated_transcripts(),
+        "presentation-equiv": _presentation_equiv_transcripts(),
         "selftest": _selftest_transcripts(),
         "swap": _swap_transcripts(),
     }
@@ -242,6 +286,11 @@ def test_generated_transcripts():
 def test_common_factor_transcripts():
     golden = json.loads(DATA.read_text(encoding="utf-8"))
     assert _mismatches(_common_factor_transcripts(), golden["common-factor"]) == []
+
+
+def test_presentation_equiv_transcripts():
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    assert _mismatches(_presentation_equiv_transcripts(), golden["presentation-equiv"]) == []
 
 
 def test_selftest_transcripts():

@@ -174,7 +174,8 @@ def test_shift_takes_each_route(monkeypatch):
     monkeypatch.setattr(transforms, "_short_form", recording)
     monkeypatch.setattr(transforms, "_form_search", searching)
     monkeypatch.setattr(transforms, "_times_binomial", times_binomial)
-    s = gamma_seq(gen_presentation(3, 2, 3), 300)
+    # without the form gamma_seq attaches, which would take the place of the search
+    s = GammaSeq(gamma_seq(gen_presentation(3, 2, 3), 300).entries)
     copy = GammaSeq(binomial_shift(s.entries, 200))
     edge_copy = GammaSeq(binomial_shift(s.entries, 297))  # its form fills the truncation
     noise = rand_seq(random.Random(3), 300)
