@@ -6,6 +6,11 @@ text, one result per line, and ``--machine`` switches every command to
 structured JSON.  Exit codes are stable across commands: 0 success or
 equivalent, 1 self-test failure, 2 input error or an order too large, 4
 distinct, 5 indeterminate.
+
+Each ``cmd_*`` computes its whole result and returns ``(exit code, JSON
+document, plain text)``, the text as a function: writing out long results
+costs about as much in either form.  Only :func:`main` prints, once, so an
+error leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import sys
 from .equivalence import DISTINCT, EQUIVALENT, are_equivalent
 from .exactnum import RatFn, poly_str, series_expand_at_one
 from .fileformat import load_text, sequence_to_doc
-from .gamma import GammaSeq, SeifertPresentation, gamma_seq, h_closed_form, prepare
+from .gamma import GammaSeq, gamma_seq, h_closed_form, prepare
 from .milnor import milnor_residues
 from .transforms import beta_from_gamma, mixed_gamma0, swap_seq
 
@@ -48,18 +53,13 @@ def _load(path: str):
     return _on(path, load_text, text)
 
 
-def _read_presentation(path: str) -> SeifertPresentation:
-    # validated by the library calls that use it: prepare, gamma_seq, h_closed_form
-    kind, payload = _load(path)
-    if kind != "presentation":
-        raise ValueError(f"{path}: expected a presentation file (with 'seifert_matrix')")
-    return payload
-
-
-def _read_sequence(path: str):
-    kind, payload = _load(path)
-    if kind != "sequence":
-        raise ValueError(f"{path}: expected a sequence file (with 'gamma')")
+def _read(path: str, kind: str):
+    """The payload of the file at ``path``, which must hold a ``kind``
+    document; a presentation is validated by the library calls that use it."""
+    found, payload = _load(path)
+    if found != kind:
+        field = "'seifert_matrix'" if kind == "presentation" else "'gamma'"
+        raise ValueError(f"{path}: expected a {kind} file (with {field})")
     return payload
 
 
@@ -76,47 +76,30 @@ def _seq_line(seq: GammaSeq) -> str:
     return " ".join(str(e) for e in seq.entries)
 
 
-def _coeff_json(c):
-    return c if isinstance(c, int) else str(c)
-
-
 def _ratfn_str(f: RatFn) -> str:
     if f.den.coeffs == (1,):
         return poly_str(f.num)
     return f"({poly_str(f.num)})/({poly_str(f.den)})"
 
 
-def cmd_gamma(args) -> int:
-    pres = _read_presentation(args.file)
+def cmd_gamma(args):
+    pres = _read(args.file, "presentation")
     seq = _on(args.file, gamma_seq, pres, _order(args.order))
-    if args.machine:
-        print(json.dumps(sequence_to_doc(seq, name=pres.name)))
-    else:
-        print(_seq_line(seq))
-    return EXIT_OK
+    return EXIT_OK, sequence_to_doc(seq, name=pres.name), lambda: _seq_line(seq)
 
 
-def cmd_h(args) -> int:
-    pres = _read_presentation(args.file)
+def cmd_h(args):
+    pres = _read(args.file, "presentation")
     f = _on(args.file, h_closed_form, pres)
-    expansion = None
-    if args.expand is not None:
-        expansion = series_expand_at_one(f, _order(args.expand, "expansion order"))
-    if args.machine:
-        doc = {
-            "num": [_coeff_json(c) for c in f.num.coeffs],
-            "den": [_coeff_json(c) for c in f.den.coeffs],
-        }
-        if pres.name is not None:
-            doc["name"] = pres.name
-        if expansion is not None:
-            doc["expansion"] = [_coeff_json(c) for c in expansion.coeffs]
-        print(json.dumps(doc))
-    else:
-        print(_ratfn_str(f))
-        if expansion is not None:
-            print(" ".join(str(c) for c in expansion.coeffs))
-    return EXIT_OK
+    # h's denominator is +-1 at t = 1, so every coefficient is an int
+    doc = {"num": f.num.coeffs, "den": f.den.coeffs}
+    if pres.name is not None:
+        doc["name"] = pres.name
+    if args.expand is None:
+        return EXIT_OK, doc, lambda: _ratfn_str(f)
+    expansion = series_expand_at_one(f, _order(args.expand, "expansion order")).coeffs
+    doc["expansion"] = expansion
+    return EXIT_OK, doc, lambda: f"{_ratfn_str(f)}\n{' '.join(map(str, expansion))}"
 
 
 def _truncate(seq: GammaSeq, order: int, path: str) -> GammaSeq:
@@ -127,7 +110,7 @@ def _truncate(seq: GammaSeq, order: int, path: str) -> GammaSeq:
     return GammaSeq(seq.entries[: order + 1])
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args):
     kind_a, payload_a = _load(args.file_a)
     kind_b, payload_b = _load(args.file_b)
     if kind_a != kind_b:
@@ -155,78 +138,43 @@ def cmd_equiv(args) -> int:
                 f"order mismatch: {seq_a.order} vs {seq_b.order} "
                 "(pass -n ORDER to compare truncations)"
             )
-    verdict = are_equivalent(seq_a, seq_b)
-    if args.machine:
-        doc = {"verdict": verdict.kind}
-        if verdict.shift is not None:
-            doc["shift"] = verdict.shift
-        if verdict.witness_index is not None:
-            doc["witness_index"] = verdict.witness_index
-        print(json.dumps(doc))
-    else:
-        print(str(verdict))
-    if verdict.kind == EQUIVALENT:
-        return EXIT_OK
-    if verdict.kind == DISTINCT:
-        return EXIT_DISTINCT
-    return EXIT_INDETERMINATE
+    v = are_equivalent(seq_a, seq_b)
+    fields = (("verdict", v.kind), ("shift", v.shift), ("witness_index", v.witness_index))
+    doc = {key: value for key, value in fields if value is not None}
+    code = {EQUIVALENT: EXIT_OK, DISTINCT: EXIT_DISTINCT}.get(v.kind, EXIT_INDETERMINATE)
+    return code, doc, lambda: str(v)
 
 
-def cmd_beta(args) -> int:
-    seq, _ = _read_sequence(args.file)
+def cmd_beta(args):
+    seq, _ = _read(args.file, "sequence")
     value = beta_from_gamma(seq, args.k)
-    if args.machine:
-        print(json.dumps({"k": args.k, "beta": value}))
-    else:
-        print(value)
-    return EXIT_OK
+    return EXIT_OK, {"k": args.k, "beta": value}, lambda: str(value)
 
 
-def cmd_swap(args) -> int:
-    seq, name = _read_sequence(args.file)
+def cmd_swap(args):
+    seq, name = _read(args.file, "sequence")
     swapped = swap_seq(seq)
-    if args.machine:
-        print(json.dumps(sequence_to_doc(swapped, name=name)))
-    else:
-        print(_seq_line(swapped))
-    return EXIT_OK
+    return EXIT_OK, sequence_to_doc(swapped, name=name), lambda: _seq_line(swapped)
 
 
-def cmd_mixed(args) -> int:
-    seq, _ = _read_sequence(args.file)
+def cmd_mixed(args):
+    seq, _ = _read(args.file, "sequence")
     value = mixed_gamma0(seq, args.p, args.l)
-    if args.machine:
-        print(json.dumps({"p": args.p, "l": args.l, "mixed_gamma0": value}))
-    else:
-        print(value)
-    return EXIT_OK
+    return EXIT_OK, {"p": args.p, "l": args.l, "mixed_gamma0": value}, lambda: str(value)
 
 
-def cmd_milnor(args) -> int:
-    seq, _ = _read_sequence(args.file)
-    residues = milnor_residues(seq)
-    if args.machine:
-        print(
-            json.dumps(
-                {
-                    "residues": [
-                        {"index": r.index, "modulus": r.modulus, "residue": r.residue}
-                        for r in residues
-                    ]
-                }
-            )
-        )
-    else:
-        for r in residues:
-            print(f"{r.index} {r.modulus} {r.residue}")
-    return EXIT_OK
+def cmd_milnor(args):
+    seq, _ = _read(args.file, "sequence")
+    rows = [(r.index, r.modulus, r.residue) for r in milnor_residues(seq)]
+    doc = {"residues": [dict(zip(("index", "modulus", "residue"), row)) for row in rows]}
+    return EXIT_OK, doc, lambda: "\n".join(" ".join(map(str, row)) for row in rows)
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     from . import selftest
 
-    healthy = selftest.run(fixtures_dir=args.fixtures, machine=args.machine) == 0
-    return EXIT_OK if healthy else EXIT_SELFTEST_FAILED
+    healthy, doc, text = selftest.run(args.fixtures)
+    return (EXIT_OK if healthy else EXIT_SELFTEST_FAILED), doc, lambda: text
 
 
 def _machine_flag(parser) -> None:
@@ -332,7 +280,9 @@ def main(argv=None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code, doc, text = args.func(args)
+        print(json.dumps(doc) if args.machine else text())
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

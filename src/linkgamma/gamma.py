@@ -175,8 +175,11 @@ def intersection_form(p: SeifertPresentation) -> IntMatrix:
     )
 
 
-def validate(p: SeifertPresentation) -> list[str]:
-    """Check every presentation invariant; an empty list means valid."""
+def validate(p: SeifertPresentation | PreparedPresentation) -> list[str]:
+    """Check every presentation invariant; an empty list means valid.  A
+    prepared presentation is checked through the presentation it holds."""
+    if isinstance(p, PreparedPresentation):
+        p = p.presentation
     problems = []
     v = p.seifert_matrix
     n = len(v)
@@ -232,9 +235,9 @@ class PreparedPresentation(Record):
 def prepare(p: SeifertPresentation | PreparedPresentation) -> PreparedPresentation:
     """Validate ``p`` and form ``A^-1`` and ``B = A^-1 V``, the integer data
     every recursion value is read from; a prepared presentation is returned
-    as it is.  :func:`gamma_seq`, :func:`gamma_k` and
-    :func:`derivative_class` accept either, so several presentations can be
-    checked before any sequence work starts."""
+    as it is.  :func:`gamma_seq`, :func:`gamma_k`, :func:`derivative_class`,
+    :func:`h_closed_form` and :func:`validate` accept either, so several
+    presentations can be checked before any sequence work starts."""
     if isinstance(p, PreparedPresentation):
         return p
     _require_valid(p)
@@ -311,7 +314,7 @@ def gamma_seq(p: SeifertPresentation | PreparedPresentation, order: int) -> Gamm
     return GammaSeq._built(entries)
 
 
-def h_closed_form(p: SeifertPresentation) -> RatFn:
+def h_closed_form(p: SeifertPresentation | PreparedPresentation) -> RatFn:
     """The rational function whose Taylor coefficients at t = 1 are the
     gamma sequence, as a quotient of two determinants:
 
@@ -323,9 +326,12 @@ def h_closed_form(p: SeifertPresentation) -> RatFn:
     rows of M only, which is always possible because det M is nonzero, so
     det M is its last leading pivot.  The denominator evaluates to
     det(A) = 1 at t = 1, so the expansion center is never a pole for a
-    valid presentation.
+    valid presentation.  A prepared presentation is not validated again.
     """
-    _require_valid(p)
+    if isinstance(p, PreparedPresentation):
+        p = p.presentation
+    else:
+        _require_valid(p)
     a = intersection_form(p)
     v = p.seifert_matrix
     n = len(v)

@@ -26,7 +26,6 @@ from .exactnum import Poly
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
-PolyMatrix = tuple[tuple[Poly, ...], ...]
 
 # Tuples here are built from lists: a tuple built from a generator or an
 # iterator leaves a block in CPython's tuple free lists on every call.

@@ -7,7 +7,6 @@ identical reports, and the first failing case is printed reproducibly.
 
 from __future__ import annotations
 
-import json
 import random
 from importlib.resources import files as resource_files
 from pathlib import Path
@@ -213,7 +212,9 @@ def _milnor_checks():
         yield f"residue shift invariance #{i}", ok, f"failed for {s.entries}"
 
 
-def run(fixtures_dir=None, machine: bool = False) -> int:
+def run(fixtures_dir=None):
+    """Run every suite; return ``(healthy, document, text)``, the report as
+    a JSON document and as plain text."""
     suites = [
         ("fixture-corpus", lambda: _fixture_checks(fixtures_dir)),
         ("closed-form-vs-iterative", _h_oracle_checks),
@@ -234,19 +235,9 @@ def run(fixtures_dir=None, machine: bool = False) -> int:
                 first_failure = {"suite": name, "case": case, "detail": detail}
         summary.append({"suite": name, "passed": passed, "total": total})
     healthy = first_failure is None
-    if machine:
-        print(
-            json.dumps(
-                {"suites": summary, "pass": healthy, "first_failure": first_failure}
-            )
-        )
-    else:
-        for row in summary:
-            print(f"{row['suite']}: {row['passed']}/{row['total']} passed")
-        if first_failure is not None:
-            print(
-                f"FAIL [{first_failure['suite']}] {first_failure['case']}: "
-                f"{first_failure['detail']}"
-            )
-        print(f"selftest: {'PASS' if healthy else 'FAIL'}")
-    return 0 if healthy else 1
+    lines = [f"{row['suite']}: {row['passed']}/{row['total']} passed" for row in summary]
+    if first_failure is not None:
+        lines.append("FAIL [{suite}] {case}: {detail}".format(**first_failure))
+    lines.append(f"selftest: {'PASS' if healthy else 'FAIL'}")
+    doc = {"suites": summary, "pass": healthy, "first_failure": first_failure}
+    return healthy, doc, "\n".join(lines)

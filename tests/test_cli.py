@@ -259,7 +259,7 @@ def test_equiv_checks_both_presentations_before_any_sequence(capsys, tmp_path):
     )
     assert code == 2 and err.startswith(f"error: {bad}: invalid presentation")
     # forming A^-1 and B for the valid file is all the matrix work that ran
-    valid = cli._read_presentation(POWERS)
+    valid = cli._read(POWERS, "presentation")
     _, preparing = count_calls(polylin.mat_vec, lambda: gamma.prepare(valid))
     assert calls == preparing
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkgamma import gamma
 from linkgamma.exactnum import Poly, ratfn_eval, ratfn_reduce, series_expand_at_one
 from linkgamma.gamma import (
     GammaSeq,
@@ -172,6 +173,18 @@ def test_prepared_presentation_is_accepted_everywhere():
         assert derivative_class(prep, 3) == derivative_class(p, 3)
 
 
+def test_h_and_validate_accept_a_prepared_presentation(monkeypatch):
+    presentations = [gen_presentation(seed, genus, 3) for genus in range(1, 5) for seed in range(3)]
+    expected = [h_closed_form(p) for p in presentations]
+    prepared = [prepare(p) for p in presentations]
+    assert [validate(prep) for prep in prepared] == [[]] * len(prepared)
+    bad = SeifertPresentation(1, ((0, 2), (0, 0)), (1, 0), (0, 1), 0)
+    assert validate(PreparedPresentation(bad, (), ())) == validate(bad) != []
+    # prepare validated each presentation once; h does not check it again
+    monkeypatch.setattr(gamma, "_require_valid", None)
+    assert [h_closed_form(prep) for prep in prepared] == expected
+
+
 def test_gamma_values_are_integers_up_to_32():
     for p in corpus(5):
         for e in gamma_seq(p, 32).entries:
@@ -232,6 +245,35 @@ def test_h_value_at_one_is_lk23():
 def test_h_denominator_never_vanishes_at_center():
     for p in corpus(20):
         assert h_closed_form(p).den(1) != 0
+
+
+# h's unreduced pair is (4 - 8t + 5t^2 - t^3)/(4 - 4t + t^2), which RatFn
+# reduces by Euclid over Q, the certificate mod p failing, to h = 1 - t
+COMMON_FACTOR = SeifertPresentation(
+    2,
+    ((-1, -1, 1, 0), (-2, -2, -1, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
+    (-1, -1, 1, 0),
+    (2, 3, 0, 0),
+    0,
+)
+
+
+def test_h_has_integer_coefficients():
+    # det(A) = 1 makes h's reduced denominator +-1 at t = 1, so by Gauss's
+    # lemma no content is divided out: the CLI writes these coefficients
+    # to JSON as they are
+    presentations = [
+        gen_presentation(seed, genus, 1 + seed % 4) for genus in range(1, 5) for seed in range(30)
+    ]
+    reduced = 0
+    for p in presentations + [COMMON_FACTOR]:
+        h = h_closed_form(p)
+        coeffs = h.num.coeffs + h.den.coeffs + series_expand_at_one(h, 6).coeffs
+        assert all(type(c) is int for c in coeffs), p
+        assert h.den(1) in (1, -1), p
+        reduced += h.den.degree() < 2 * p.genus
+    assert h_closed_form(COMMON_FACTOR) == ratfn_reduce(Poly((1, -1)), Poly((1,)))
+    assert reduced, "no presentation reduced"
 
 
 def test_h_expansion_matches_iterative_path():

@@ -5,7 +5,9 @@ that applies to a bundled fixture, and of ``h --expand 12`` and
 of ``swap`` on an order-111 sequence with a short form and one without,
 of ``equiv -n 300`` on pairs of presentations, and of ``selftest``, plain
 and ``--machine``; and the exit code, stdout and stderr of failing
-commands, with the input directory written as ``<dir>`` in stderr.  Usage
+commands, with the input directory written as ``<dir>`` in stderr, and of
+``selftest --fixtures`` on a missing directory and on a corrupted corpus,
+with ``<dir>`` in stdout as well.  Usage
 errors are recorded by exit code only, since argparse words its messages
 differently between Python versions.
 
@@ -17,6 +19,7 @@ After an intended change of output, rewrite them with
 
 import json
 import random
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files as resource_files
@@ -240,6 +243,27 @@ def _selftest_transcripts() -> dict:
     return _transcripts([("selftest",)], FIXTURES)
 
 
+def _failing_selftest_transcripts() -> dict:
+    # a fixture directory that does not exist, and a copy of the corpus in
+    # which the powers-of-two link has lk23 = 2, so its gamma_0 is wrong
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        corrupt = directory / "corrupt"
+        shutil.copytree(FIXTURES, corrupt)
+        powers = corrupt / "powers-of-two-link.json"
+        doc = {**json.loads(powers.read_text(encoding="utf-8")), "lk23": 2}
+        powers.write_text(json.dumps(doc), encoding="utf-8")
+        for name in ("missing", "corrupt"):
+            for prefix in ((), ("--machine",)):
+                command = (*prefix, "selftest", "--fixtures", str(directory / name))
+                code, stdout, stderr = _run(command, directory)
+                key = " ".join(command).replace(str(directory), "<dir>")
+                stdout = stdout.replace(str(directory), "<dir>")
+                out[key] = {"exit": code, "stdout": stdout, "stderr": stderr}
+    return out
+
+
 def _error_transcripts() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -264,6 +288,7 @@ def _record() -> dict:
         "generated": _generated_transcripts(),
         "presentation-equiv": _presentation_equiv_transcripts(),
         "selftest": _selftest_transcripts(),
+        "selftest-failing": _failing_selftest_transcripts(),
         "swap": _swap_transcripts(),
     }
 
@@ -296,6 +321,11 @@ def test_presentation_equiv_transcripts():
 def test_selftest_transcripts():
     golden = json.loads(DATA.read_text(encoding="utf-8"))
     assert _mismatches(_selftest_transcripts(), golden["selftest"]) == []
+
+
+def test_failing_selftest_transcripts():
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    assert _mismatches(_failing_selftest_transcripts(), golden["selftest-failing"]) == []
 
 
 def test_swap_transcripts():
