@@ -15,6 +15,9 @@ certificates are issued.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import ne
+
 from .exactnum import RatFn
 from .gamma import GammaSeq, Record
 from .transforms import apply_shift
@@ -22,6 +25,10 @@ from .transforms import apply_shift
 EQUIVALENT = "equivalent"
 DISTINCT = "distinct"
 INDETERMINATE = "indeterminate"
+
+# are_equivalent compares this many entries past the leading index before
+# it shifts the whole sequence
+_PREFIX = 16
 
 
 class EquivVerdict(Record):
@@ -97,13 +104,14 @@ def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
         return EquivVerdict.distinct(k + 1)
     n = diff // lead
     # T^-n is unitriangular, so a - T^-n b first differs where T^n a - b does
-    if b._form and not a._form:
-        shifted, other = apply_shift(b, -n), a
-    else:
-        shifted, other = apply_shift(a, n), b
-    for idx in range(k + 1, a.order + 1):
-        if shifted.entries[idx] != other.entries[idx]:
-            return EquivVerdict.distinct(idx)
+    src, m, other = (b, -n, a.entries) if b._form and not a._form else (a, n, b.entries)
+    # entry i of a shift reads entries up to i, so a prefix shows a
+    # difference near the front without shifting the whole sequence
+    for upto in sorted({min(a.order, k + _PREFIX), a.order}):
+        shifted = apply_shift(GammaSeq._built(src.entries[: upto + 1], src._form), m).entries
+        if shifted[k + 1 :] != other[k + 1 : upto + 1]:
+            pairs = map(ne, shifted[k + 1 :], other[k + 1 :])
+            return EquivVerdict.distinct(next(compress(count(k + 1), pairs)))
     return EquivVerdict.equivalent(n)
 
 

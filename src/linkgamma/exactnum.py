@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 
 
 def _coeff(c):
@@ -387,7 +387,10 @@ def _series_quotient(num, den, order: int) -> list:
     coefficient sequences with ``den[0] != 0``: one exact division for the
     reciprocal of ``den[0]``, then each coefficient
     ``c_k = (num_k - sum_j den_j c_(k-j)) / den_0`` is a product by it,
-    which a denominator with ``den[0] == 1`` skips."""
+    which a denominator with ``den[0] == 1`` skips, and one with
+    ``den[0] == -1`` too once both inputs are negated."""
+    if den[0] == -1:
+        num, den = list(map(neg, num)), list(map(neg, den))
     inv = _div(1, den[0])
     tail = [-d for d in den[1:]]
     out = []

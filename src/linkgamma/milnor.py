@@ -15,7 +15,9 @@ generators, and the gcd chain is unchanged under that move.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, takewhile
+from operator import ne
 
 from .gamma import GammaSeq, Record, build_records
 
@@ -37,6 +39,9 @@ def milnor_residues(s: GammaSeq) -> list[MilnorResidue]:
     taken as 0 and zeros ignored by gcd; equivalently the moduli follow
     the chain ``m[k+1] = gcd(m[k], |s[k]|)``.
     """
-    moduli = list(accumulate(s.entries[:-1], math.gcd, initial=0))
+    # once the chain reaches 1 every later modulus is 1 and residue 0
+    moduli = list(takewhile(partial(ne, 1), accumulate(s.entries[:-1], math.gcd, initial=0)))
     residues = [v % m if m else v for v, m in zip(s.entries, moduli)]
-    return build_records(MilnorResidue, range(len(residues)), moduli, residues)
+    rest = len(s.entries) - len(moduli)
+    return build_records(MilnorResidue, range(len(s.entries)),
+                         moduli + [1] * rest, residues + [0] * rest)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import accumulate, compress, count, repeat, zip_longest
 from math import isqrt
-from operator import add, mul, ne, neg
+from operator import add, mul, ne, neg, pos
 
 from .exactnum import _P, _berlekamp_massey, _series_quotient
 from .gamma import GammaSeq
@@ -42,10 +42,15 @@ _MISS_SHARE = 64
 
 def _binomials(n: int, size: int) -> list[int]:
     """``C(n, 0), ..., C(n, size - 1)``, generalized binomials for n < 0,
-    built by ``C(n, j) = C(n, j-1) (n-j+1) / j``, each division exact."""
+    built by ``C(n, j) = C(n, j-1) (n-j+1) / j``, each division exact.  A
+    row that ends within size, 0 <= n < size, is built to its middle and
+    mirrored."""
+    top = n // 2 if 0 <= n < size else size - 1
     row = [1]
-    for j in range(1, size):
+    for j in range(1, top + 1):
         row.append(row[-1] * (n - j + 1) // j)
+    if top < size - 1:
+        row += row[: n - top][::-1] + [0] * (size - n - 1)
     return row
 
 
@@ -61,8 +66,24 @@ def _product(a, b, order: int) -> list:
 
 
 def _times_binomial(p, e: int, order: int) -> list:
-    """Coefficients 0..order of ``(1+x)^e p``."""
-    return _product(p, _binomials(e, order + 1) if e else [1], order)
+    """Coefficients 0..order of ``(1+x)^e p``, from the row's nonzero terms."""
+    return _product(p, _binomials(e, order + 1 if e < 0 else min(order, e) + 1), order)
+
+
+def _divide_out(c, red) -> tuple[list, int]:
+    """``(q, k)`` with ``c = (1+x)^k q`` and q not divisible by 1 + x, for
+    a coefficient list c, each coefficient taken through ``red``: a
+    reduction mod p, or ``pos`` for integers."""
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    k = 0
+    while len(c) > 1:
+        q = list(accumulate(c[:-1], lambda a, b: red(b - a)))  # c = (1+x) q + r
+        if red(c[-1] - q[-1]):
+            break
+        c, k = q, k + 1
+    return c, k
 
 
 def _lift(c) -> tuple[list[int], int]:
@@ -70,15 +91,7 @@ def _lift(c) -> tuple[list[int], int]:
     connection polynomial c mod p proposes.  A shift brings in factors
     1 + x, whose binomial coefficients soon exceed p/2, so those are
     divided out mod p before the symmetric lift."""
-    c = list(c)
-    while not c[-1]:
-        c.pop()
-    k = 0
-    while len(c) > 1:
-        q = list(accumulate(c[:-1], lambda a, b: (b - a) % _P))  # c = (1+x) q + r
-        if (c[-1] - q[-1]) % _P:
-            break
-        c, k = q, k + 1
+    c, k = _divide_out(c, _P.__rmod__)
     return [v - _P if v > _P >> 1 else v for v in c], k
 
 
@@ -106,23 +119,26 @@ def _form_search(head, first, e: int, s: GammaSeq, limit: int):
 
     Berlekamp-Massey proposes a connection polynomial ``(1+x)^k C`` once a
     recurrence of length L has held past 2L entries, P is the first L terms
-    of ``(1+x)^k C x``, f is e - k, and ``(1+x)^f P = C s`` is checked
-    outright, first on the entries read, where a C lifted from rational
-    coefficients fails cheaply.  A first difference at index j means x
-    satisfies no recurrence shorter than j + 1 - L, so the search then
-    stops or waits for the next proposal."""
+    of ``(1+x)^k C x`` with its factors 1 + x moved into f, f is e - k plus
+    their number, and ``(1+x)^f P = C s`` is checked outright, first on the
+    entries read, where a C lifted from rational coefficients fails
+    cheaply.  A first difference at index j means x satisfies no
+    recurrence shorter than j + 1 - L, so the search then stops or waits
+    for the next proposal."""
     need, rejected = 0, None
     for k, (length, d, c) in enumerate(_berlekamp_massey(head)):
         if length > limit:
             return
         if not (d or k < need or 2 * length > k or c is rejected):
             den, m = _lift(c)
-            num = _product(_times_binomial(den, m, len(den) + m - 1), first(length), length - 1)
-            j = _mismatch(num, den, e - m, s, k)
+            num, i = _divide_out(_product(_times_binomial(den, m, len(den) + m - 1),
+                                          first(length), length - 1), pos)
+            f = e - m + i
+            j = _mismatch(num, den, f, s, k)
             if j is None:
-                j = _mismatch(num, den, e - m, s, s.order)
+                j = _mismatch(num, den, f, s, s.order)
                 if j is None:
-                    yield num, den, e - m
+                    yield num, den, f
                     return
             if j + 1 - length > limit:
                 return
@@ -136,9 +152,56 @@ def _own_search(s: GammaSeq, limit: int):
     return _form_search(head, lambda m: s.entries[:m], 0, s, limit)
 
 
+def _tail_search(s: GammaSeq, limit: int):
+    """Search, one of the last ``2 * limit + 2`` entries of s per step, for
+    a form ``(1+x)^f P/C`` of s with ``C[0] == 1`` and
+    ``4 (|C| + |P|) < 6 limit``, f of any size, as in a copy T^m, m >= 0,
+    of a sequence with a short form.  Yields as :func:`_form_search` does.
+
+    Berlekamp-Massey proposes the recurrence ``(1+x)^k C`` of the entries
+    past the numerator, and ``d = (1+x)^k C s`` through the order makes
+    s = d/((1+x)^k C) an identity there.  If d vanishes wherever the
+    recurrence holds, it has a degree D; for the least r that makes
+    ``(1+x)^(r-D) d`` a polynomial of degree r, read off its first terms,
+    that is ``P = (1+x)^(-j) d``, j = D - r, and ``(1+x)^j P = d`` is
+    checked outright.  A gamma sequence's P is as long as its C, so a C
+    that leaves P fewer terms ends the search before d is formed."""
+    order = s.order
+    start = max(0, order - 2 * limit - 1)
+    need, rejected = 0, None
+    for k, (length, disc, c) in enumerate(_berlekamp_massey(s.entries[start:])):
+        if length > limit:
+            return
+        if not (disc or k < need or 2 * length > k or c is rejected):
+            den, m = _lift(c)
+            full = _times_binomial(den, m, len(den) + m - 1)
+            terms = (6 * limit - 1) // 4 - len(full)  # the most P may have
+            if terms < len(full):
+                return
+            d = _product(full, s.entries, order)
+            held = start + length  # the recurrence holds from here on
+            j = next(compress(count(held), d[held:]), None)
+            if j is not None:
+                if j + 1 - held > limit:
+                    return
+                need, rejected = j + 1 - start, c
+            else:
+                top = next(compress(count(held - 1, -1), reversed(d[:held])), -1)
+                w = _product(_binomials(-top, terms + 1), d, terms)
+                for r in range(terms):
+                    if not any(w[r + 1 :]):
+                        if _times_binomial(w[: r + 1], top - r, top) == d[: top + 1]:
+                            yield w[: r + 1], den, top - r - m
+                        return
+                    w[1:] = map(add, w[1:], w)
+                return
+        yield None
+
+
 def _short_form(s: GammaSeq, n: int, limit: int):
-    """``(P, C, e)`` from searches for a form of s (e = 0) and of T^n s
-    (e = -n) run in step, so that a form found early ends both, or None."""
+    """``(P, C, e)`` from a search for a form of s from its last entries
+    and one of T^n s (e = -n) from its leading ones, run in step, so that a
+    form found early ends both, or None."""
     # a search that has read 2 * limit + 2 entries has found its form or
     # passed the limit
     reach = min(s.order + 1, 2 * limit + 2)
@@ -147,7 +210,7 @@ def _short_form(s: GammaSeq, n: int, limit: int):
     s_p = [e % _P for e in s.entries[:reach]]
     shifted = (sum(map(mul, row_p, s_p[k::-1])) for k in range(reach))
     searches = zip_longest(
-        _own_search(s, limit),
+        _tail_search(s, limit),
         _form_search(shifted, lambda m: [sum(map(mul, row, s.entries[k::-1]))
                                          for k in range(m)], -n, s, limit))
     return next((form for found in searches for form in found if form), None)
@@ -162,26 +225,31 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
 
     T^n multiplies the generating function by ``(1+x)^n``.  Counting
     big-integer products and additions, and calls into C, per entry, the
-    steps cost |n|, and a form ``(1+x)^e P/C = s`` 2|P| + 4|C| + 11, at
-    most 6L + 15 for L terms in P: a binomial row (5), a product by it,
-    ``C s`` to check the form, a comparison (1), and the division by C (7
-    and the products) that expands ``(1+x)^(e+n) P/C``.  Forms are sought
-    while 6L + 15 stays below |n| and below order + 4, the count for the
-    binomial sum ``sum_j C(n, j) s[k-j]``, and while a miss costs at most
-    1/64 of that fallback: a search up to L reads 2L + 2 leading entries,
-    about 6 (L + 1)^2 operations on residues.  Berlekamp-Massey modulo
+    steps cost |n|, and expanding a form ``(1+x)^e P/C = s`` as
+    ``(1+x)^(e+n) P/C`` costs 2|P| + 2|C| + 10: a binomial row (5), a
+    product by it and the division by C (2|C| + 5).  A form s carries holds by
+    construction, so it is taken, with no search, when that count is below
+    the fallback: |n|, or order + 4 for the binomial sum
+    ``sum_j C(n, j) s[k-j]``.  Otherwise Berlekamp-Massey modulo
     p = 2^61 - 1 proposes an integer C with ``C[0] == 1`` in two searches
-    run in step:
+    run in step, which find forms whose check and expansion count at most
+    6L + 15 for at most L terms in P:
 
-    - **A form of s** (e = 0): ``P = C s`` through the order makes
-      ``s = P/C`` an identity there, for any such C.
+    - **A form of s, from its last entries**, which satisfy the recurrence
+      C past the numerator however long that is: ``d = C s`` through the
+      order (2|C|) makes ``s = d/C`` an identity there, for any such C,
+      and ``d = (1+x)^e P``, P read off d's first terms, is checked by one
+      product with a binomial row (2|P| + 6): 4|P| + 4|C| + 16 in all.
     - **A form of T^n s** (e = -n), from its leading entries by one
       binomial row: ``(1+x)^(-n) P = C s`` is checked through the order,
-      and as T^-n is a bijection on truncations, P/C then expands T^n s.
+      and as T^-n is a bijection on truncations, P/C then expands T^n s:
+      2|P| + 4|C| + 11 in all.  This one finds the forms whose denominator
+      is long (T^m s with m < 0) or whose numerator fills the truncation.
 
-    A form s carries holds by construction, so its expansion alone is
-    counted, 2|P| + 2|C| + 10, and taken when below the fallback, with no
-    search.
+    A numerator's factors 1 + x are moved into e before its check.  Forms
+    are sought while 6L + 15 stays below the fallback, and while a miss
+    costs at most 1/64 of it: a search up to L reads 2L + 2 entries, about
+    6 (L + 1)^2 operations on residues.
 
     No result rests on the modular guess.  Without a form, |n| up to 4
     times the order takes the steps and larger |n| the binomial sum (the

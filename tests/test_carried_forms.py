@@ -137,14 +137,15 @@ def test_a_carried_form_takes_the_place_of_the_search(monkeypatch):
     assert searches == []
     apply_shift(plain, 300)
     assert searches  # the form-free copy searches
-    # are_equivalent shifts the sequence that carries a form
+    # are_equivalent shifts the sequence that carries a form, a prefix of
+    # it first and then the whole
     for n in (-300, -35, 35, 300):
         copy_ = GammaSeq(binomial_shift(s.entries, n))
         shifts.clear()
         assert are_equivalent(s, copy_) == EquivVerdict.equivalent(n)
         assert are_equivalent(copy_, s) == EquivVerdict.equivalent(-n)
         assert are_equivalent(plain, copy_) == EquivVerdict.equivalent(n)
-        assert shifts == [(True, n), (True, n), (False, n)]
+        assert shifts == [(True, n)] * 4 + [(False, n)] * 2
     # no argument gains a form
     for n in (-300, 300):
         apply_shift(plain, n)

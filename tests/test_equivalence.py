@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from linkgamma import equivalence
 from linkgamma.equivalence import (
     EquivVerdict,
     are_equivalent,
@@ -14,7 +15,13 @@ from linkgamma.exactnum import (
     ratfn_reduce,
     series_expand_at_one,
 )
-from linkgamma.gamma import GammaSeq, gen_presentation, gamma_seq, h_closed_form
+from linkgamma.gamma import (
+    GammaSeq,
+    SeifertPresentation,
+    gamma_seq,
+    gen_presentation,
+    h_closed_form,
+)
 from linkgamma.transforms import apply_shift
 
 
@@ -123,6 +130,38 @@ def test_symmetry():
         backward = are_equivalent(t, s)
         assert forward.kind == "equivalent"
         assert backward == EquivVerdict.equivalent(-forward.shift)
+
+
+def scaled(seed, genus, factor, order):
+    # the documents g3.json and g3-times-3.json of the golden transcripts
+    p = gen_presentation(seed, genus, 3)
+    v3 = [factor * e for e in p.v3]
+    return gamma_seq(SeifertPresentation(genus, p.seifert_matrix, p.v2, v3, 1), order)
+
+
+@pytest.mark.parametrize("order", [300, 1000, 3000])
+def test_golden_distinct_pair_at_long_orders(order):
+    a, b = scaled(6, 3, 1, order), scaled(6, 3, 3, order)
+    assert are_equivalent(a, b) == EquivVerdict.distinct(2)
+    assert are_equivalent(GammaSeq(a.entries), GammaSeq(b.entries)) == EquivVerdict.distinct(2)
+
+
+def test_a_difference_in_the_prefix_is_found_without_the_whole_shift(monkeypatch):
+    orders = []
+
+    def shifting(s, n):
+        orders.append(s.order)
+        return apply_shift(s, n)
+
+    monkeypatch.setattr(equivalence, "apply_shift", shifting)
+    a, b = scaled(6, 3, 1, 1000), scaled(6, 3, 3, 1000)
+    assert are_equivalent(a, b) == EquivVerdict.distinct(2)
+    assert orders and max(orders) < 1000
+    # a difference past the prefix: one shift of the prefix, one of the whole
+    bumped = GammaSeq(a.entries[:900] + (a.entries[900] + 1,) + a.entries[901:])
+    orders.clear()
+    assert are_equivalent(a, bumped) == EquivVerdict.distinct(900)
+    assert len(orders) == 2 and orders[0] < orders[1] == 1000
 
 
 # --------------------------------------------------------------- canonicalize

@@ -279,6 +279,16 @@ def test_expand_pads_and_truncates_the_numerator():
     assert series_expand_at_one(cube, 5) == Series((1, 3, 3, 1, 0, 0))
 
 
+def test_series_quotient_with_leading_minus_one():
+    # the inputs are negated once and divided as for leading coefficient 1
+    num, den = [3, -1, 4, 1, -5], [-1, 2, -7]
+    out = exactnum._series_quotient(num, den, 12)
+    product = [sum(den[j] * out[k - j] for j in range(len(den)) if j <= k) for k in range(13)]
+    assert product == num + [0] * 8
+    assert out == [-c for c in exactnum._series_quotient(num, [-d for d in den], 12)]
+    assert exactnum._series_quotient((2,), (-1,), 3) == [-2, 0, 0, 0]
+
+
 def test_expand_pole_at_center():
     f = ratfn_reduce(Poly((1,)), Poly((-1, 1)))
     with pytest.raises(ZeroDivisionError):

@@ -76,3 +76,27 @@ def test_residues_are_shift_invariant():
         base = milnor_residues(s)
         for n in range(-5, 6):
             assert milnor_residues(apply_shift(s, n)) == base
+
+
+def gcd_chain_oracle(entries):
+    # every modulus and residue from its definition, with no shortcut
+    out = []
+    for k, e in enumerate(entries):
+        m = reduce(math.gcd, (abs(v) for v in entries[:k]), 0)
+        out.append(MilnorResidue(k, m, e % m if m else e))
+    return out
+
+
+def test_chains_that_reach_one_or_never_do():
+    big = 3**400
+    cases = [
+        (6, 9, 5, big, -big, 7),  # gcd 6, 3, then 1 at index 3
+        (2, 3, big, 11, -4),  # 1 at index 2
+        (-1, big, 2, 3),  # 1 at index 1
+        (4, -8, 2**500, 6, 10, 2),  # all even: never 1
+        (0, 0, 0, 5, 10, 3, big),  # leading zeros, then 5, then 1
+        (0, 0, 0, 0),  # all zeros
+        (7,),
+    ]
+    for entries in cases:
+        assert milnor_residues(GammaSeq(entries)) == gcd_chain_oracle(entries)

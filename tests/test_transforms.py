@@ -9,6 +9,7 @@ from linkgamma.exactnum import Series, series_compose
 from linkgamma.gamma import GammaSeq, SeifertPresentation, gamma_seq, gen_presentation
 from linkgamma.polylin import det, identity, mat_mul, transpose
 from linkgamma import transforms
+from linkgamma.equivalence import canonicalize
 from linkgamma.transforms import (
     _MISS_SHARE,
     _SHIFT_STEPS_PER_INDEX,
@@ -54,6 +55,14 @@ def test_shift_preserves_order_and_inverts():
 def binom(n, j):
     # generalized binomial coefficient, also for negative n
     return math.comb(n, j) if n >= 0 else (-1) ** j * math.comb(j - n - 1, j)
+
+
+def test_binomial_rows_match_comb():
+    # rows that end within the size are built to the middle and mirrored
+    for n in range(-60, 61):
+        for size in range(1, 131):
+            assert transforms._binomials(n, size) == [binom(n, j) if n < 0 or j <= n else 0
+                                                      for j in range(size)]
 
 
 def binomial_shift(e, n):
@@ -148,8 +157,10 @@ def long_shifts(draw):
 
 
 def test_shift_takes_each_route(monkeypatch):
-    # records which search found a form, None for searches that found none,
-    # and "sum" for the binomial sum over the entries
+    # records which search found a form, "tail" for the one on the input's
+    # last entries and "result" for the one on the result's leading
+    # entries, None for searches that found none, and "sum" for the
+    # binomial sum over the entries
     routes = []
 
     def recording(s, n, limit):
@@ -161,7 +172,13 @@ def test_shift_takes_each_route(monkeypatch):
     def searching(head, first, e, s, limit):
         for form in form_search(head, first, e, s, limit):
             if form:
-                routes.append("result" if e else "input")
+                routes.append("result")
+            yield form
+
+    def tailing(s, limit):
+        for form in tail_search(s, limit):
+            if form:
+                routes.append("tail")
             yield form
 
     def times_binomial(p, e, order):
@@ -170,21 +187,25 @@ def test_shift_takes_each_route(monkeypatch):
         return times_binomial_(p, e, order)
 
     short_form, form_search = transforms._short_form, transforms._form_search
-    times_binomial_ = transforms._times_binomial
+    tail_search, times_binomial_ = transforms._tail_search, transforms._times_binomial
     monkeypatch.setattr(transforms, "_short_form", recording)
     monkeypatch.setattr(transforms, "_form_search", searching)
+    monkeypatch.setattr(transforms, "_tail_search", tailing)
     monkeypatch.setattr(transforms, "_times_binomial", times_binomial)
     # without the form gamma_seq attaches, which would take the place of the search
     s = GammaSeq(gamma_seq(gen_presentation(3, 2, 3), 300).entries)
     copy = GammaSeq(binomial_shift(s.entries, 200))
     edge_copy = GammaSeq(binomial_shift(s.entries, 297))  # its form fills the truncation
+    long_den = GammaSeq(binomial_shift(s.entries, -100))  # its denominator has 105 terms
     noise = rand_seq(random.Random(3), 300)
     cases = [
-        (s, 200, ["input"]),
-        (s, -200, ["input"]),
-        (copy, -200, ["result"]),
-        (copy, -197, ["result"]),
+        (s, 200, ["tail"]),
+        (s, -200, ["tail"]),
+        (copy, -200, ["tail"]),
+        (copy, -197, ["tail"]),
+        (copy, -100, ["tail"]),  # input and result both have numerators of 100 terms or more
         (edge_copy, -300, ["result"]),
+        (long_den, 100, ["result"]),
         (s, 30, [None]),  # a search too short for s's form of 5 terms
         (noise, 60, [None]),  # a miss, then the steps
         (noise, -1200, [None]),  # the steps up to 4 times the order
@@ -240,6 +261,62 @@ def test_short_form_divides_out_powers_of_one_plus_x():
     assert (len(den), e) == (5, 500)
     assert (transforms._series_quotient(transforms._times_binomial(num, e - 580, 600), den, 600)
             == list(binomial_shift(copy.entries, -580)))
+
+
+def scaled_gamma_seq(seed, genus, factor, order):
+    # lk23 = 1 and v3 scaled: s[0] = 1, so the canonical exponent is -s[1],
+    # which grows with the factor
+    p = gen_presentation(seed, genus, 3)
+    v3 = [factor * e for e in p.v3]
+    return gamma_seq(SeifertPresentation(genus, p.seifert_matrix, p.v2, v3, 1), order)
+
+
+@st.composite
+def form_free_copies(draw):
+    # (copy, n): copies T^m s of gamma sequences, built without apply_shift
+    # and so carrying no form, whose canonical exponents relative to s
+    # often lie beyond +-40, where both the copy and its canonical form have
+    # numerators too long for a search on leading entries; or the same
+    # copies with +-1 added to every entry, which have no short form
+    genus = draw(st.integers(1, 4))
+    s = scaled_gamma_seq(draw(st.integers(0, 10**6)), genus, draw(st.integers(1, 12)), 300)
+    entries = binomial_shift(s.entries, draw(st.integers(-300, 300)))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        entries = tuple(e + rng.choice((-1, 1)) for e in entries)
+    return GammaSeq(entries), draw(st.integers(-400, 400))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=form_free_copies())
+def test_form_free_copies_shift_and_canonicalize_as_the_steps(case):
+    copy, n = case
+    assert apply_shift(copy, n).entries == binomial_shift(copy.entries, n)
+    rep, c = canonicalize(copy)
+    assert rep.entries == binomial_shift(copy.entries, c)
+    k = next((i for i, e in enumerate(copy.entries) if e), copy.order)
+    assert k == copy.order or 0 <= rep.entries[k + 1] < abs(copy.entries[k])
+
+
+def test_canonicalize_finds_forms_far_from_both_ends(monkeypatch):
+    # canonicalize(T^m s) at T^270 s: the copy and the result both have
+    # numerators of more than 40 terms, so only the search on the copy's
+    # last entries finds a form
+    found = []
+
+    def recording(s, n, limit):
+        form = short_form(s, n, limit)
+        found.append(form is not None)
+        return form
+
+    short_form = transforms._short_form
+    monkeypatch.setattr(transforms, "_short_form", recording)
+    s = scaled_gamma_seq(1, 2, 30, 300)
+    for m in (50, 100):
+        found.clear()
+        rep, c = canonicalize(GammaSeq(binomial_shift(s.entries, m)))
+        assert (c + m, rep.entries) == (270, binomial_shift(s.entries, 270))
+        assert found == [True]
 
 
 @settings(max_examples=100, deadline=None)
