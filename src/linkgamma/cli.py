@@ -10,12 +10,14 @@ distinct, 5 indeterminate.
 Each ``cmd_*`` computes its whole result and returns ``(exit code, JSON
 document, plain text)``, the text as a function: writing out long results
 costs about as much in either form.  Only :func:`main` prints, once, so an
-error leaves stdout empty.
+error leaves stdout empty.  The parser is built on the first call of
+:func:`main` and reused by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -186,6 +188,7 @@ def _machine_flag(parser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkgamma",

@@ -124,12 +124,16 @@ def _form_search(head, first, e: int, s: GammaSeq, limit: int):
     entries read, where a C lifted from rational coefficients fails
     cheaply.  A first difference at index j means x satisfies no
     recurrence shorter than j + 1 - L, so the search then stops or waits
-    for the next proposal."""
+    for the next proposal.  The recurrence of length 0, which holds while
+    every entry read is 0, proposes the zero form, a form only of a
+    sequence of zeros, so it is checked only for one: a sequence that
+    merely starts with 0 pays no check through the order for it."""
     need, rejected = 0, None
     for k, (length, d, c) in enumerate(_berlekamp_massey(head)):
         if length > limit:
             return
-        if not (d or k < need or 2 * length > k or c is rejected):
+        if (length or not any(s.entries)) and not (
+                d or k < need or 2 * length > k or c is rejected):
             den, m = _lift(c)
             num, i = _divide_out(_product(_times_binomial(den, m, len(den) + m - 1),
                                           first(length), length - 1), pos)

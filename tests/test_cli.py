@@ -1,6 +1,9 @@
+import argparse
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linkgamma
 from linkgamma import cli, gamma, polylin
 from linkgamma.cli import main
 from linkgamma.fileformat import sequence_from_doc
@@ -442,6 +446,59 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
 def test_usage_error_exits_2(capsys):
     assert main(["gamma"]) == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------------ parser reuse
+
+
+def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (
+        ("gamma", "-n", "5", POWERS),
+        ("--machine", "h", POWERS),
+        ("gamma",),
+        ("milnor", POWERS),
+        ("gamma", "-n", "3", POWERS),
+    ):
+        run(capsys, *argv)
+    assert built.count("linkgamma") <= 1
+
+
+def fresh(*argv):
+    # the same command in a new interpreter, whose parser is built for it
+    env = dict(os.environ)
+    src = str(Path(linkgamma.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "linkgamma.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        ("--machine", "gamma", "-n", "5", POWERS),
+        ("gamma",),
+        ("--help",),
+        ("gamma", "--help"),
+    ],
+    ids=["machine", "usage-error", "help", "command-help"],
+)
+def test_a_call_leaves_no_state_behind(capsys, monkeypatch, first):
+    # help is wrapped to COLUMNS, so both sides read the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    then = ("gamma", "-n", "5", POWERS)
+    assert run(capsys, *first) == fresh(*first)
+    assert run(capsys, *then) == fresh(*then)
 
 
 # ------------------------------------------------ exit codes on any document

@@ -1,6 +1,6 @@
 """Checks that need a fresh interpreter: what importing the command line
-loads, inputs whose run time must not grow with an integer they hold, and
-memory left behind by repeated construction.
+loads and builds, inputs whose run time must not grow with an integer they
+hold, and memory left behind by repeated construction.
 Each process has a timeout, so a regression fails instead of hanging."""
 
 import json
@@ -37,6 +37,31 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_selftest():
     assert "linkgamma.cli" in added
     assert "dataclasses" not in added
     assert "linkgamma.selftest" not in added
+
+
+def test_the_parser_is_built_on_first_use_and_only_then():
+    # every perfbench set-up imports the command line, so the import builds
+    # no parser; the first main call builds it and later calls reuse it
+    code = (
+        "import argparse, contextlib, io, json\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from linkgamma.cli import main\n"
+        "counts = [built.count('linkgamma')]\n"
+        "for argv in (['--help'], ['gamma'], ['h', 'missing.json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        main(argv)\n"
+        "    counts.append(built.count('linkgamma'))\n"
+        "print(json.dumps(counts))"
+    )
+    proc = spawn("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 1, 1, 1]
 
 
 def test_selftest_command_in_a_fresh_process():

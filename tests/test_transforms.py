@@ -263,6 +263,49 @@ def test_short_form_divides_out_powers_of_one_plus_x():
             == list(binomial_shift(copy.entries, -580)))
 
 
+def stepped(entries, n):
+    # |n| plain steps of T or T^-1, the oracle for order-1000 shifts
+    e = list(entries)
+    for _ in range(abs(n)):
+        if n > 0:
+            e = e[:1] + [a + b for a, b in zip(e[1:], e)]
+        else:
+            for k in range(1, len(e)):
+                e[k] -= e[k - 1]
+    return tuple(e)
+
+
+def test_a_leading_zero_pays_no_check_of_the_zero_form(monkeypatch):
+    # lk23 = 0 makes entry 0 zero, where the recurrence of length 0 holds
+    # and proposes the zero form; a sequence that goes on past that 0 is no
+    # sequence of zeros, so the form is not checked through the order
+    checks = []
+
+    def recording(num, den, e, s, upto):
+        checks.append((list(num), upto))
+        return mismatch(num, den, e, s, upto)
+
+    mismatch = transforms._mismatch
+    monkeypatch.setattr(transforms, "_mismatch", recording)
+    p = gen_presentation(20, 3, 3)
+    pres = SeifertPresentation(3, p.seifert_matrix, p.v2, p.v3, 0)
+    s = GammaSeq(gamma_seq(pres, 1000).entries)  # form-free, so the shift searches
+    assert s.entries[0] == 0 and s.entries[1] != 0
+    for n in (-22, -31, 22, 31, 60):
+        checks.clear()
+        assert apply_shift(s, n).entries == stepped(s.entries, n)
+        assert [upto for num, upto in checks if not num] == []
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 30, 300, 1000])
+def test_zeros_shift_and_swap_to_zeros(order):
+    zeros = GammaSeq((0,) * (order + 1))
+    for n in (1, 22, 31, 200, _SHIFT_STEPS_PER_INDEX * order + 1, 10**12 + 7):
+        for signed in (n, -n):
+            assert apply_shift(zeros, signed) == zeros
+    assert swap_seq(zeros) == zeros
+
+
 def scaled_gamma_seq(seed, genus, factor, order):
     # lk23 = 1 and v3 scaled: s[0] = 1, so the canonical exponent is -s[1],
     # which grows with the factor
