@@ -124,10 +124,10 @@ def cmd_equiv(args):
             raise ValueError("presentation inputs require -n ORDER")
         order = _order(args.order)
         # both files are checked before either sequence is computed
-        prep_a = _on(args.file_a, prepare, payload_a)
-        prep_b = _on(args.file_b, prepare, payload_b)
-        seq_a = gamma_seq(prep_a, order)
-        seq_b = gamma_seq(prep_b, order)
+        _on(args.file_a, prepare, payload_a)
+        _on(args.file_b, prepare, payload_b)
+        seq_a = gamma_seq(payload_a, order)
+        seq_b = gamma_seq(payload_b, order)
     else:
         seq_a, _ = payload_a
         seq_b, _ = payload_b

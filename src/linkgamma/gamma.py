@@ -73,7 +73,8 @@ class Record:
 
     Subclasses set their slots once, in ``__init__`` through ``_set``;
     after that, assigning or deleting an attribute raises
-    ``AttributeError``.  Equality and hashing compare the field
+    ``AttributeError`` (this module may fill in a private slot later, with
+    ``object.__setattr__``).  Equality and hashing compare the field
     values of two records of the same class, ``repr`` shows every field,
     and copying and pickling rebuild the record through its constructor.
     """
@@ -126,14 +127,15 @@ def build_records(cls, *columns) -> list:
 
 
 class SeifertPresentation(Record):
-    """Homological data of a 3-component link with distinguished component."""
+    """Homological data of a 3-component link with distinguished component;
+    :func:`prepare` keeps its ``A^-1`` and ``B = A^-1 V`` in ``_prepared``."""
 
-    __slots__ = ("genus", "seifert_matrix", "v2", "v3", "lk23", "name")
+    __slots__ = ("genus", "seifert_matrix", "v2", "v3", "lk23", "name", "_prepared")
 
     def __init__(self, genus: int, seifert_matrix: IntMatrix, v2: IntVector,
                  v3: IntVector, lk23: int, name: str | None = None):
         matrix = tuple([tuple(row) for row in seifert_matrix])
-        self._set(genus, matrix, tuple(v2), tuple(v3), lk23, name)
+        self._set(genus, matrix, tuple(v2), tuple(v3), lk23, name, None)
 
 
 class GammaSeq(Record):
@@ -175,15 +177,13 @@ def intersection_form(p: SeifertPresentation) -> IntMatrix:
     )
 
 
-def validate(p: SeifertPresentation | PreparedPresentation) -> list[str]:
-    """Check every presentation invariant; an empty list means valid.  A
-    prepared presentation is checked through the presentation it holds."""
-    if isinstance(p, PreparedPresentation):
-        p = p.presentation
+def validate(p: SeifertPresentation) -> list[str]:
+    """Check every presentation invariant; an empty list means valid."""
     problems = []
     v = p.seifert_matrix
     n = len(v)
-    if not isinstance(p.genus, int) or p.genus < 1:
+    genus_ok = isinstance(p.genus, int) and not isinstance(p.genus, bool) and p.genus >= 1
+    if not genus_ok:
         problems.append(f"genus must be a positive integer, got {p.genus!r}")
     if n == 0:
         problems.append("seifert_matrix must be square, got shape 0x0")
@@ -201,7 +201,7 @@ def validate(p: SeifertPresentation | PreparedPresentation) -> list[str]:
                 return problems
     if n % 2:
         problems.append(f"seifert_matrix has odd size {n}; expected even size 2g")
-    if isinstance(p.genus, int) and p.genus >= 1 and n != 2 * p.genus:
+    if genus_ok and n != 2 * p.genus:
         problems.append(f"seifert_matrix size {n} does not match genus {p.genus}")
     for label, vec in (("v2", p.v2), ("v3", p.v3)):
         if len(vec) != n:
@@ -222,56 +222,45 @@ def _require_valid(p: SeifertPresentation) -> None:
         raise ValueError("invalid presentation: " + "; ".join(problems))
 
 
-class PreparedPresentation(Record):
-    """A presentation that passed :func:`validate`, with ``A^-1`` and
-    ``B = A^-1 V`` formed once; build it with :func:`prepare`."""
-
-    __slots__ = ("presentation", "a_inv", "b")
-
-    def __init__(self, presentation: SeifertPresentation, a_inv: IntMatrix, b: IntMatrix):
-        self._set(presentation, a_inv, b)
-
-
-def prepare(p: SeifertPresentation | PreparedPresentation) -> PreparedPresentation:
+def prepare(p: SeifertPresentation) -> SeifertPresentation:
     """Validate ``p`` and form ``A^-1`` and ``B = A^-1 V``, the integer data
-    every recursion value is read from; a prepared presentation is returned
-    as it is.  :func:`gamma_seq`, :func:`gamma_k`, :func:`derivative_class`,
-    :func:`h_closed_form` and :func:`validate` accept either, so several
-    presentations can be checked before any sequence work starts."""
-    if isinstance(p, PreparedPresentation):
-        return p
-    _require_valid(p)
-    a_inv = int_inverse(intersection_form(p))
-    return PreparedPresentation(p, a_inv, mat_mul(a_inv, p.seifert_matrix))
+    every recursion value is read from, on the first call; ``p`` keeps them
+    and is returned, so later calls and every function here skip the check
+    and the inversion, and several presentations can be checked before any
+    sequence work starts.  Concurrent first calls keep equal values."""
+    if p._prepared is None:
+        _require_valid(p)
+        a_inv = int_inverse(intersection_form(p))
+        object.__setattr__(p, "_prepared", (a_inv, mat_mul(a_inv, p.seifert_matrix)))
+    return p
 
 
-def _recursion(prep: PreparedPresentation):
+def _recursion(p: SeifertPresentation):
     """Iterator over ``u_k = B^(k-1) A^-1 v2`` for k = 1, 2, ..., one
-    ``mat_vec`` per step.  Every recursion value is a view of it:
-    ``gamma_k = u_k . v3`` and ``(V A^-1)^k v2 = V u_k``."""
-    u1 = mat_vec(prep.a_inv, prep.presentation.v2)
-    return accumulate(repeat(prep.b), lambda u, m: mat_vec(m, u), initial=u1)
+    ``mat_vec`` per step, for a prepared p.  Every recursion value is a
+    view of it: ``gamma_k = u_k . v3`` and ``(V A^-1)^k v2 = V u_k``."""
+    a_inv, b = p._prepared
+    return accumulate(repeat(b), lambda u, m: mat_vec(m, u), initial=mat_vec(a_inv, p.v2))
 
 
-def derivative_class(p: SeifertPresentation | PreparedPresentation, k: int) -> IntVector:
+def derivative_class(p: SeifertPresentation, k: int) -> IntVector:
     """Homology class ``(V A^-1)^k v2`` of the k-fold derived second
     component in the surface complement."""
-    prep = prepare(p)
+    prepare(p)
     if k < 1:
         raise ValueError("derivative order k must be positive")
-    u = next(islice(_recursion(prep), k - 1, None))
-    return mat_vec(prep.presentation.seifert_matrix, u)
+    return mat_vec(p.seifert_matrix, next(islice(_recursion(p), k - 1, None)))
 
 
-def gamma_k(p: SeifertPresentation | PreparedPresentation, k: int) -> int:
+def gamma_k(p: SeifertPresentation, k: int) -> int:
     """The k-th gamma invariant of the presentation (k = 0 is ``lk23``),
     from the vector recursion alone."""
-    prep = prepare(p)
+    prepare(p)
     if k < 0:
         raise ValueError("gamma index must be nonnegative")
     if not k:
-        return prep.presentation.lk23
-    return vec_dot(next(islice(_recursion(prep), k - 1, None)), prep.presentation.v3)
+        return p.lk23
+    return vec_dot(next(islice(_recursion(p), k - 1, None)), p.v3)
 
 
 def _recurrence_pays(n: int, order: int) -> bool:
@@ -281,7 +270,7 @@ def _recurrence_pays(n: int, order: int) -> bool:
     return charpoly_cost(n) < (order - n) * n * (n + 1)
 
 
-def gamma_seq(p: SeifertPresentation | PreparedPresentation, order: int) -> GammaSeq:
+def gamma_seq(p: SeifertPresentation, order: int) -> GammaSeq:
     """Gamma invariants 0..order in a single pass, with no matrix powers.
 
     Terms 1..n (n = 2g) come from the vector recursion, one ``mat_vec``
@@ -299,22 +288,22 @@ def gamma_seq(p: SeifertPresentation | PreparedPresentation, order: int) -> Gamm
     0..n, truncated to degree n, the sequence expands P/C, and the result
     carries that form.
     """
-    prep = prepare(p)
+    prepare(p)
     if order < 0:
         raise ValueError("sequence order must be nonnegative")
-    v3 = prep.presentation.v3
+    v3 = p.v3
     n = len(v3)
     head = n if _recurrence_pays(n, order) else order
-    terms = islice(_recursion(prep), head)
-    entries = [prep.presentation.lk23, *[vec_dot(u, v3) for u in terms]]
+    terms = islice(_recursion(p), head)
+    entries = [p.lk23, *[vec_dot(u, v3) for u in terms]]
     if head < order:
-        den = charpoly(prep.b)
+        den = charpoly(p._prepared[1])
         num = tuple([sum(map(mul, den, entries[k::-1])) for k in range(n + 1)])
         return GammaSeq._built(_series_quotient(num, den, order), (num, den, 0))
     return GammaSeq._built(entries)
 
 
-def h_closed_form(p: SeifertPresentation | PreparedPresentation) -> RatFn:
+def h_closed_form(p: SeifertPresentation) -> RatFn:
     """The rational function whose Taylor coefficients at t = 1 are the
     gamma sequence, as a quotient of two determinants:
 
@@ -326,11 +315,10 @@ def h_closed_form(p: SeifertPresentation | PreparedPresentation) -> RatFn:
     rows of M only, which is always possible because det M is nonzero, so
     det M is its last leading pivot.  The denominator evaluates to
     det(A) = 1 at t = 1, so the expansion center is never a pole for a
-    valid presentation.  A prepared presentation is not validated again.
+    valid presentation.  A prepared presentation is not validated again,
+    and a fresh one is validated without forming ``A^-1``.
     """
-    if isinstance(p, PreparedPresentation):
-        p = p.presentation
-    else:
+    if p._prepared is None:
         _require_valid(p)
     a = intersection_form(p)
     v = p.seifert_matrix

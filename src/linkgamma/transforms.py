@@ -66,7 +66,10 @@ def _product(a, b, order: int) -> list:
 
 
 def _times_binomial(p, e: int, order: int) -> list:
-    """Coefficients 0..order of ``(1+x)^e p``, from the row's nonzero terms."""
+    """Coefficients 0..order of ``(1+x)^e p``, from the row's nonzero terms;
+    zeros, with no row built, when p has no nonzero term."""
+    if not any(p):
+        return [0] * (order + 1)
     return _product(p, _binomials(e, order + 1 if e < 0 else min(order, e) + 1), order)
 
 

@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 
 from linkgamma.exactnum import Poly, series_expand_at_one
 from linkgamma.gamma import (
+    GammaSeq,
     SeifertPresentation,
     gamma_seq,
     gen_presentation,
     h_closed_form,
     intersection_form,
 )
-from linkgamma.polylin import bordered_det, det, identity, mat_mul, transpose
+from linkgamma.polylin import bordered_det, det, identity, mat_mul, mat_vec, transpose
+from linkgamma.transforms import apply_shift
 
 TWO_MINUS_T = Poly((2, -1))
 
@@ -50,21 +52,50 @@ def generic_presentations(draw):
 
 
 @st.composite
-def trivial_alexander_presentations(draw):
-    # direct sum of [[0, 1], [0, 0]] blocks, conjugated by unimodular shears
-    genus = draw(st.integers(1, 5))
+def unimodular(draw, n):
+    """An integer n x n matrix of determinant +-1: a product of up to 2n
+    moves, each a shear (I with e = +-1 at (r, c), r != c) or, for r == c,
+    the sign change of coordinate r."""
+    q = identity(n)
+    index = st.integers(0, n - 1)
+    for r, c, e in draw(st.lists(st.tuples(index, index, st.sampled_from((-1, 1))),
+                                 max_size=2 * n)):
+        move = [list(row) for row in identity(n)]
+        move[r][c] = e if r != c else -1
+        q = mat_mul(q, move)
+    return q
+
+
+def congruent(p, q):
+    """The presentation of the same link in the basis changed by q:
+    V -> q^T V q, v2 -> q^T v2, v3 -> q^T v3."""
+    qt = transpose(q)
+    v = mat_mul(qt, mat_mul(p.seifert_matrix, q))
+    return SeifertPresentation(p.genus, v, mat_vec(qt, p.v2), mat_vec(qt, p.v3), p.lk23)
+
+
+@st.composite
+def trivial_alexander_presentations(draw, max_genus=5):
+    # direct sum of [[0, 1], [0, 0]] blocks, in a basis changed by unimodular moves
+    genus = draw(st.integers(1, max_genus))
     n = 2 * genus
     v = tuple(tuple(int(j == i + 1 and i % 2 == 0) for j in range(n)) for i in range(n))
-    index = st.integers(0, n - 1)
-    shears = st.lists(st.tuples(index, index, st.sampled_from((-1, 1))), max_size=2 * n)
-    for r, c, e in draw(shears):
-        if r != c:
-            shear = [list(row) for row in identity(n)]
-            shear[r][c] = e
-            v = mat_mul(transpose(shear), mat_mul(v, shear))
     vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     lk23 = draw(st.integers(-3, 3))
-    return SeifertPresentation(genus, v, draw(vector), draw(vector), lk23)
+    p = SeifertPresentation(genus, v, draw(vector), draw(vector), lk23)
+    return congruent(p, draw(unimodular(n)))
+
+
+@st.composite
+def congruent_pairs(draw, min_genus, max_genus):
+    p = gen_presentation(draw(st.integers(0, 2**32)), draw(st.integers(min_genus, max_genus)), 3)
+    return p, congruent(p, draw(unimodular(2 * p.genus)))
+
+
+def forward_differences(xs, k):
+    for _ in range(k):
+        xs = [b - a for a, b in zip(xs, xs[1:])]
+    return xs
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,3 +120,30 @@ def test_trivial_alexander_polynomial(p):
     h = h_closed_form(p)
     assert divides(h.den, power)
     assert series_expand_at_one(h, 12).coeffs == gamma_seq(p, 12).entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=trivial_alexander_presentations(max_genus=8))
+def test_trivial_alexander_sequences_are_polynomial_past_2g(p):
+    # (1 - x)^g h(1 + x) is a polynomial of degree at most 2g, and at most
+    # 2g + n after the shift's factor (1 + x)^n: the g-th differences vanish
+    g = p.genus
+    s = gamma_seq(p, 120)
+    assert not any(forward_differences(s.entries[2 * g + 1:], g))
+    for n in (5, 40):
+        shifted = apply_shift(GammaSeq(s.entries), n)
+        assert not any(forward_differences(shifted.entries[2 * g + 1 + n:], g))
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=congruent_pairs(4, 8))
+def test_a_change_of_basis_leaves_gamma_unchanged(pair):
+    p, q = pair
+    assert gamma_seq(q, 60) == gamma_seq(p, 60)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pair=congruent_pairs(4, 6))
+def test_a_change_of_basis_leaves_h_unchanged(pair):
+    p, q = pair
+    assert h_closed_form(q) == h_closed_form(p)

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +10,6 @@ from linkgamma import gamma
 from linkgamma.exactnum import Poly, ratfn_eval, ratfn_reduce, series_expand_at_one
 from linkgamma.gamma import (
     GammaSeq,
-    PreparedPresentation,
     SeifertPresentation,
     _recurrence_pays,
     derivative_class,
@@ -18,7 +21,15 @@ from linkgamma.gamma import (
     prepare,
     validate,
 )
-from linkgamma.polylin import adjugate, bordered_det, det, int_inverse, mat_vec, vec_dot
+from linkgamma.polylin import (
+    adjugate,
+    bordered_det,
+    det,
+    int_inverse,
+    mat_mul,
+    mat_vec,
+    vec_dot,
+)
 from linkgamma.transforms import swap_seq
 
 FIX = SeifertPresentation(1, ((0, 2), (1, 0)), (1, 0), (0, 1), 1)
@@ -69,6 +80,13 @@ def test_validate_vector_lengths_and_genus():
     assert any("v2" in msg for msg in problems)
     assert any("v3" in msg for msg in problems)
     assert any("genus" in msg for msg in problems)
+
+
+def test_validate_rejects_a_bool_genus():
+    p = SeifertPresentation(True, ((0, 2), (1, 0)), (1, 0), (0, 1), 1)
+    assert validate(p) == ["genus must be a positive integer, got True"]
+    with pytest.raises(ValueError, match="genus must be a positive integer, got True"):
+        gamma_seq(p, 3)
 
 
 def test_operations_reject_invalid_presentation():
@@ -162,27 +180,73 @@ def test_gamma_seq_long_recurrence_matches_vector_recursion():
         assert seq.entries[-3:] == tuple(gamma_k(p, k) for k in (298, 299, 300))
 
 
-def test_prepared_presentation_is_accepted_everywhere():
+def fresh(p):
+    return SeifertPresentation(p.genus, p.seifert_matrix, p.v2, p.v3, p.lk23, p.name)
+
+
+def count_gamma_calls(monkeypatch, *names):
+    # calls through gamma's own bindings, which its functions look up at call time
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _func=getattr(gamma, name)):
+            calls[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(gamma, name, counted)
+    return calls
+
+
+def test_prepare_returns_the_presentation_keeping_a_inv_and_b():
     for p in corpus(6):
-        prep = prepare(p)
-        assert isinstance(prep, PreparedPresentation) and prepare(prep) is prep
-        assert prep.presentation == p
-        assert prep.a_inv == int_inverse(intersection_form(p))
-        assert gamma_seq(prep, 12) == gamma_seq(p, 12)
-        assert gamma_k(prep, 7) == gamma_k(p, 7)
-        assert derivative_class(prep, 3) == derivative_class(p, 3)
+        assert prepare(p) is p and prepare(p) is p
+        a_inv = int_inverse(intersection_form(p))
+        assert p._prepared == (a_inv, mat_mul(a_inv, p.seifert_matrix))
+        q = fresh(p)
+        assert gamma_seq(p, 12) == gamma_seq(q, 12)
+        assert gamma_k(p, 7) == gamma_k(q, 7)
+        assert derivative_class(p, 3) == derivative_class(q, 3)
+        assert validate(p) == []
 
 
-def test_h_and_validate_accept_a_prepared_presentation(monkeypatch):
+def test_a_prepared_presentation_is_neither_checked_nor_inverted_again(monkeypatch):
     presentations = [gen_presentation(seed, genus, 3) for genus in range(1, 5) for seed in range(3)]
-    expected = [h_closed_form(p) for p in presentations]
-    prepared = [prepare(p) for p in presentations]
-    assert [validate(prep) for prep in prepared] == [[]] * len(prepared)
+    fresh_ones = [fresh(p) for p in presentations]
+    expected = [(h_closed_form(q), gamma_seq(q, 40), gamma_k(q, 5), derivative_class(q, 2))
+                for q in fresh_ones]
+    for p in presentations:
+        prepare(p)
+    calls = count_gamma_calls(monkeypatch, "validate", "int_inverse", "det")
+    got = [(h_closed_form(p), gamma_seq(p, 40), gamma_k(p, 5), derivative_class(p, 2))
+           for p in presentations]
+    assert got == expected
+    assert calls == Counter()
+
+
+def test_a_one_shot_h_runs_one_det_and_never_inverts(monkeypatch):
+    p = gen_presentation(4, 4, 3)
+    expected = h_closed_form(fresh(p))
+    calls = count_gamma_calls(monkeypatch, "validate", "int_inverse", "det")
+    assert h_closed_form(p) == expected
+    assert calls == Counter(validate=1, det=1)
+    assert p._prepared is None
+
+
+def test_a_prepared_presentation_is_the_same_value():
+    for p in corpus(6):
+        q = fresh(p)
+        prepare(p)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert copied == p and copied._prepared is None
+
+
+def test_an_invalid_presentation_raises_every_time_and_keeps_nothing():
     bad = SeifertPresentation(1, ((0, 2), (0, 0)), (1, 0), (0, 1), 0)
-    assert validate(PreparedPresentation(bad, (), ())) == validate(bad) != []
-    # prepare validated each presentation once; h does not check it again
-    monkeypatch.setattr(gamma, "_require_valid", None)
-    assert [h_closed_form(prep) for prep in prepared] == expected
+    for _ in range(2):
+        for op in (prepare, h_closed_form, lambda p: gamma_seq(p, 5), lambda p: gamma_k(p, 2),
+                   lambda p: derivative_class(p, 1)):
+            with pytest.raises(ValueError, match=r"invalid presentation: det\(V - V\^T\) = 4"):
+                op(bad)
+            assert bad._prepared is None
 
 
 def test_gamma_values_are_integers_up_to_32():

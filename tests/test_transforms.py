@@ -306,6 +306,19 @@ def test_zeros_shift_and_swap_to_zeros(order):
     assert swap_seq(zeros) == zeros
 
 
+def test_zeros_shift_without_a_binomial_row_through_the_order(monkeypatch):
+    # the zero form's numerator is empty: its expansion needs no row of
+    # C(e + n, j); only the search's own short rows (306 terms here) are built
+    sizes = []
+    binomials = transforms._binomials
+    monkeypatch.setattr(transforms, "_binomials",
+                        lambda n, size: sizes.append(size) or binomials(n, size))
+    zeros = GammaSeq((0,) * 3001)
+    for n in (5000, -15000):
+        assert apply_shift(zeros, n) == zeros
+    assert sizes and max(sizes) < 3001 // 4
+
+
 def scaled_gamma_seq(seed, genus, factor, order):
     # lk23 = 1 and v3 scaled: s[0] = 1, so the canonical exponent is -s[1],
     # which grows with the factor
