@@ -1,49 +1,40 @@
-"""Exact scalar arithmetic: rationals, polynomials, truncated power series,
+"""Exact integer arithmetic: polynomials over Z, truncated power series,
 and reduced rational functions.
 
 Every value here is immutable and every operation is exact; there is no
-floating point on any code path.  Rational scalars are the standard library
-``fractions.Fraction``, which already maintains the reduced-form invariants
-(coprime numerator/denominator, positive denominator).  Coefficients are
-stored as plain ``int`` whenever the value is integral, so integer-heavy
-computations run at native integer speed; the two types mix freely.
+floating point on any code path, and every coefficient is a plain ``int``.
+Nothing needs more: a presentation has det A = 1, so h's denominator is
++-1 at t = 1, and by Gauss's lemma h and its expansion at t = 1 have
+integer coefficients.  ``ratfn_eval`` alone returns a ``Fraction``, a
+value rather than a coefficient.
 
 ``RatFn`` values are kept in a canonical form -- numerator and denominator
-coprime, denominator an integer-primitive polynomial with positive leading
-coefficient -- so that equality is a structural comparison.  A gcd of
-degree 0 modulo p = 2^61 - 1 certifies coprimality when p does not divide
-the denominator's leading coefficient (Collins 1967; Brown 1971); only a
-pair that fails it is reduced by Euclid over Q (``poly_gcd``).  Laurent
-polynomials need no separate type: a monomial denominator ``t^m`` covers
-negative exponents.
+coprime, the denominator's leading coefficient positive, and the
+coefficients of both together of gcd 1 -- so that equality is a structural
+comparison.  A gcd of degree 0 modulo p = 2^61 - 1 certifies coprimality
+when p does not divide the denominator's leading coefficient (Collins 1967;
+Brown 1971); only a pair that fails it is reduced by ``poly_gcd``, the
+primitive pseudo-remainder sequence over Z (Collins 1967), whose every
+division is exact.  Laurent polynomials need no separate type: a monomial
+denominator ``t^m`` covers negative exponents.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul, neg
 
 
 def _coeff(c):
-    """Normalize an exact coefficient: integral Fractions collapse to int.
-    ``bool`` is not a coefficient, although it subclasses ``int``."""
-    if type(c) is int:
+    """An exact coefficient: an ``int``, but not a ``bool``, although
+    ``bool`` subclasses ``int``."""
+    if type(c) is int or isinstance(c, int) and not isinstance(c, bool):
         return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int) and not isinstance(c, bool):
-        return c
-    raise TypeError(f"exact coefficient required, got {type(c).__name__}")
-
-
-def _div(a, b):
-    """Exact scalar division (never the float ``/``)."""
-    return _coeff(Fraction(a, b))
+    raise TypeError(f"int coefficient required, got {type(c).__name__}")
 
 
 class Poly:
-    """Dense univariate polynomial with exact rational coefficients.
+    """Dense univariate polynomial with integer coefficients.
 
     ``coeffs[k]`` is the degree-k coefficient; trailing zeros are trimmed,
     so the zero polynomial has an empty coefficient tuple and is falsy.
@@ -67,7 +58,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
@@ -81,7 +72,7 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
@@ -105,7 +96,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
@@ -123,28 +114,28 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        """``(q, r)`` with ``self == q * other + r``, by long division over
+        Z.  It stops at the first quotient coefficient that ``other``'s
+        leading coefficient does not divide, so ``r`` is zero exactly when
+        ``other`` divides ``self`` in Z[t]."""
         if not isinstance(other, Poly):
             other = Poly((other,))
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree() < other.degree():
-            return Poly(()), self
+        b = other.coeffs
+        db = len(b) - 1
+        lead = b[-1]
         rem = list(self.coeffs)
-        db = other.degree()
-        lead = other.coeffs[-1]
-        quot = [0] * (len(rem) - db)
+        quot = [0] * max(len(rem) - db, 0)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
-            if c == 0:
-                continue
-            q = _div(c, lead)
-            quot[i - db] = q
-            for j in range(db + 1):
-                rem[i - db + j] -= q * other.coeffs[j]
+            if c:
+                q, r = divmod(c, lead)
+                if r:
+                    break
+                quot[i - db] = q
+                rem[i - db : i + 1] = [x - q * y for x, y in zip(rem[i - db : i + 1], b)]
         return Poly(quot), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -157,13 +148,23 @@ class Poly:
         return acc
 
 
+def _primitive(p: Poly) -> Poly:
+    content = math.gcd(*p.coeffs)
+    return p if content < 2 else Poly([c // content for c in p.coeffs])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (Euclidean algorithm)."""
+    """The primitive gcd in Z[t], with a positive leading coefficient (zero
+    when both are zero), by the primitive pseudo-remainder sequence
+    (Collins 1967): the remainder after ``b`` is
+    ``(lead(b)^(deg a - deg b + 1) * a) % b`` made primitive, a division
+    that is exact."""
+    a, b = _primitive(a), _primitive(b)
+    if a.degree() < b.degree():
+        a, b = b, a
     while b:
-        a, b = b, a % b
-    if not a:
-        return a
-    return a * _div(1, a.coeffs[-1])
+        a, b = b, _primitive(a * b.coeffs[-1] ** (a.degree() - b.degree() + 1) % b)
+    return -a if a and a.coeffs[-1] < 0 else a
 
 
 def poly_exact_div(a: Poly, b: Poly) -> Poly:
@@ -177,20 +178,9 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
 _P = (1 << 61) - 1
 
 
-def _integral(num: Poly, den: Poly):
-    """The coefficients of ``num`` and ``den`` scaled by the lcm of all their
-    coefficient denominators: two int sequences with the same quotient."""
-    # from a list: a star-unpacked generator grows CPython's tuple free lists per call
-    mult = math.lcm(*[c.denominator for c in num.coeffs + den.coeffs])
-    if mult == 1:
-        return num.coeffs, den.coeffs
-    return ([c.numerator * (mult // c.denominator) for c in num.coeffs],
-            [c.numerator * (mult // c.denominator) for c in den.coeffs])
-
-
 def _coprime_mod_p(num, den) -> bool:
     """Whether nonzero int sequences ``num`` and ``den`` are certified
-    coprime over Q: p does not divide den's leading coefficient and
+    coprime: p does not divide den's leading coefficient and
     gcd(num, den) mod p is constant.  A common factor of positive degree,
     taken primitive in Z[t], has a leading coefficient dividing den's, so
     it would keep its degree mod p.  False proves nothing."""
@@ -240,11 +230,6 @@ def _berlekamp_massey(entries):
         yield length, d, c
 
 
-def _mag_str(c) -> str:
-    s = str(c)
-    return f"({s})" if "/" in s else s
-
-
 def poly_str(p: Poly, var: str = "t") -> str:
     """Human-readable form with ascending powers, e.g. ``-3 + 2t``."""
     if not p:
@@ -256,10 +241,10 @@ def poly_str(p: Poly, var: str = "t") -> str:
         neg = c < 0
         mag = -c if neg else c
         if k == 0:
-            body = _mag_str(mag)
+            body = str(mag)
         else:
             vp = var if k == 1 else f"{var}^{k}"
-            body = vp if mag == 1 else f"{_mag_str(mag)}{vp}"
+            body = vp if mag == 1 else f"{mag}{vp}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:
@@ -300,14 +285,13 @@ class Series:
 class RatFn:
     """Reduced rational function ``num/den`` in the variable t.
 
-    The constructor establishes the canonical form: num and den coprime, den
-    with integer, collectively coprime coefficients and a positive leading
-    coefficient, so structural equality is equality in Q(t).  Both parts
-    are scaled to integer coefficients; a gcd of degree 0 mod p = 2^61 - 1,
-    with p not dividing den's leading coefficient, certifies them coprime,
-    and any other pair is first reduced by ``poly_gcd`` over Q.  Last, both
-    are divided by den's integer content, signed like its leading
-    coefficient.
+    The constructor establishes the canonical form: num and den coprime,
+    den with a positive leading coefficient, and the coefficients of both
+    together of gcd 1, so structural equality is equality in Q(t).  A gcd
+    of degree 0 mod p = 2^61 - 1, with p not dividing den's leading
+    coefficient, certifies the pair coprime, and any other pair is first
+    divided by its primitive ``poly_gcd``.  Last, both are divided by the
+    gcd of all their coefficients, signed like den's leading coefficient.
     """
 
     __slots__ = ("num", "den")
@@ -323,16 +307,16 @@ class RatFn:
             self.num = Poly(())
             self.den = Poly((1,))
             return
-        nums, dens = _integral(num, den)
+        nums, dens = num.coeffs, den.coeffs
         if not _coprime_mod_p(nums, dens):
             g = poly_gcd(num, den)
             if g.degree() > 0:
-                nums, dens = _integral(poly_exact_div(num, g), poly_exact_div(den, g))
-        content = math.gcd(*dens)
+                nums, dens = poly_exact_div(num, g).coeffs, poly_exact_div(den, g).coeffs
+        content = math.gcd(*nums, *dens)
         if dens[-1] < 0:
             content = -content
         if content != 1:
-            nums = [_div(c, content) for c in nums]
+            nums = [c // content for c in nums]
             dens = [c // content for c in dens]
         self.num = Poly(nums)
         self.den = Poly(dens)
@@ -365,8 +349,10 @@ def ratfn_mul_tpow(f: RatFn, n: int) -> RatFn:
     return RatFn(f.num, Poly((0,) * -n + f.den.coeffs))
 
 
-def ratfn_eval(f: RatFn, x) -> Fraction:
-    """Exact value ``f(x)``; raises at a pole."""
+def ratfn_eval(f: RatFn, x):
+    """Exact value ``f(x)``, a ``Fraction``; raises at a pole."""
+    from fractions import Fraction  # a value, not a coefficient: no import at start-up
+
     d = f.den(x)
     if d == 0:
         raise ZeroDivisionError("pole at evaluation point")
@@ -383,20 +369,18 @@ def _taylor_shift_one(p: Poly) -> Poly:
 
 
 def _series_quotient(num, den, order: int) -> list:
-    """Coefficients 0..order of the power series ``num/den``, for
-    coefficient sequences with ``den[0] != 0``: one exact division for the
-    reciprocal of ``den[0]``, then each coefficient
-    ``c_k = (num_k - sum_j den_j c_(k-j)) / den_0`` is a product by it,
-    which a denominator with ``den[0] == 1`` skips, and one with
-    ``den[0] == -1`` too once both inputs are negated."""
+    """Coefficients 0..order of the power series ``num/den``, for int
+    sequences with ``den[0] == 1``, where each coefficient is
+    ``c_k = num_k - sum_j den_j c_(k-j)``, or ``den[0] == -1``, where both
+    inputs are negated first.  Any other ``den[0]`` raises ``ValueError``."""
     if den[0] == -1:
         num, den = list(map(neg, num)), list(map(neg, den))
-    inv = _div(1, den[0])
+    elif den[0] != 1:
+        raise ValueError(f"series quotient needs a constant term of 1 or -1, got {den[0]}")
     tail = [-d for d in den[1:]]
     out = []
     for k in range(order + 1):
-        c = sum(map(mul, tail, reversed(out)), num[k] if k < len(num) else 0)
-        out.append(c if inv == 1 else _coeff(c * inv))
+        out.append(sum(map(mul, tail, reversed(out)), num[k] if k < len(num) else 0))
     return out
 
 
@@ -404,7 +388,9 @@ def series_expand_at_one(f: RatFn, order: int) -> Series:
     """Exact Taylor coefficients of ``f`` at t = 1, indices ``0..order``.
 
     Substitutes t = 1 + x and divides the shifted numerator by the shifted
-    denominator as truncated power series.
+    denominator as truncated power series.  Every h has den(1) = 1 or -1;
+    any other nonzero den(1) raises ``ValueError``, and a pole (den(1) = 0)
+    ``ZeroDivisionError``.
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")

@@ -8,9 +8,14 @@ polynomial ``Delta(s) = det(sV - V^T)`` of the distinguished component.
 (``Delta = s^g`` here, up to units) leaves h no pole other than t = 2.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkgamma import exactnum
+from linkgamma.equivalence import ratfn_equivalent
 from linkgamma.exactnum import Poly, series_expand_at_one
 from linkgamma.gamma import (
     GammaSeq,
@@ -92,6 +97,17 @@ def congruent_pairs(draw, min_genus, max_genus):
     return p, congruent(p, draw(unimodular(2 * p.genus)))
 
 
+def enlarged(p, rng):
+    """An elementary enlargement of p, a presentation of the same link:
+    V -> [[V, xi, 0], [0, 0, 1], [0, 0, 0]] with xi random, and v2 and v3
+    each extended by (random, 0)."""
+    n = 2 * p.genus
+    v = [[*row, rng.randint(-3, 3), 0] for row in p.seifert_matrix]
+    v += [[0] * (n + 1) + [1], [0] * (n + 2)]
+    return SeifertPresentation(p.genus + 1, v, (*p.v2, rng.randint(-3, 3), 0),
+                               (*p.v3, rng.randint(-3, 3), 0), p.lk23)
+
+
 def forward_differences(xs, k):
     for _ in range(k):
         xs = [b - a for a, b in zip(xs, xs[1:])]
@@ -147,3 +163,20 @@ def test_a_change_of_basis_leaves_gamma_unchanged(pair):
 def test_a_change_of_basis_leaves_h_unchanged(pair):
     p, q = pair
     assert h_closed_form(q) == h_closed_form(p)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_an_enlargement_keeps_gamma_and_h_up_to_a_power_of_t(monkeypatch, seed, genus):
+    # an enlarged h carries a common factor that the certificate mod p
+    # cannot clear, so its reduction runs the integer gcd
+    p = gen_presentation(seed, genus, 3)
+    rng = random.Random(seed)
+    q = enlarged(enlarged(p, rng), rng)
+    assert gamma_seq(q, 30) == gamma_seq(p, 30)
+    h = h_closed_form(p)
+    calls = []
+    gcd = exactnum.poly_gcd
+    monkeypatch.setattr(exactnum, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    assert ratfn_equivalent(h_closed_form(q), h) is not None
+    assert calls

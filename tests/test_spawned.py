@@ -26,7 +26,7 @@ def spawn(*args):
     )
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_selftest():
+def modules_the_cli_import_adds():
     code = (
         "import json, sys; before = set(sys.modules); import linkgamma.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
@@ -35,8 +35,20 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_selftest():
     assert proc.returncode == 0, proc.stderr
     added = json.loads(proc.stdout)
     assert "linkgamma.cli" in added
+    return added
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_selftest():
+    added = modules_the_cli_import_adds()
     assert "dataclasses" not in added
     assert "linkgamma.selftest" not in added
+
+
+def test_importing_the_cli_loads_neither_fractions_nor_decimal():
+    # every coefficient is an int, and fractions would bring decimal along
+    added = modules_the_cli_import_adds()
+    assert "fractions" not in added
+    assert "decimal" not in added
 
 
 def test_the_parser_is_built_on_first_use_and_only_then():
