@@ -11,7 +11,6 @@ from .exactnum import (
     poly_gcd,
     poly_str,
     ratfn_eval,
-    ratfn_mul_tpow,
     ratfn_reduce,
     series_compose,
     series_expand_at_one,
@@ -74,7 +73,6 @@ __all__ = [
     "poly_str",
     "ratfn_equivalent",
     "ratfn_eval",
-    "ratfn_mul_tpow",
     "ratfn_reduce",
     "series_compose",
     "series_expand_at_one",

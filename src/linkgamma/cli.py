@@ -10,7 +10,8 @@ distinct, 5 indeterminate.
 Each ``cmd_*`` computes its whole result and returns ``(exit code, JSON
 document, plain text)``, the text as a function: writing out long results
 costs about as much in either form.  Only :func:`main` prints, once, so an
-error leaves stdout empty.  The parser is built on the first call of
+error leaves stdout empty; a stdout closed before the output was written
+is an input error too.  The parser is built on the first call of
 :func:`main` and reused by every later call in the process.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .equivalence import DISTINCT, EQUIVALENT, are_equivalent
@@ -284,8 +286,14 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         code, doc, text = args.func(args)
-        print(json.dumps(doc) if args.machine else text())
+        print(json.dumps(doc) if args.machine else text(), flush=True)
         return code
+    except BrokenPipeError:
+        try:
+            print("error: stdout closed before the output was written", file=sys.stderr)
+        except OSError:
+            pass
+        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -297,4 +305,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    if code == EXIT_INPUT_ERROR:
+        # after a closed pipe, the interpreter's last flush of stdout goes
+        # to devnull (Python docs, "Note on SIGPIPE"); an error printed none
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)

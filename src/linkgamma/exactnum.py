@@ -6,7 +6,8 @@ floating point on any code path, and every coefficient is a plain ``int``.
 Nothing needs more: a presentation has det A = 1, so h's denominator is
 +-1 at t = 1, and by Gauss's lemma h and its expansion at t = 1 have
 integer coefficients.  ``ratfn_eval`` alone returns a ``Fraction``, a
-value rather than a coefficient.
+value rather than a coefficient.  ``Poly``'s ``+``, ``-``, ``divmod`` and
+``==`` take a ``Poly``, an ``int`` only scales one, and ``RatFn`` takes two.
 
 ``RatFn`` values are kept in a canonical form -- numerator and denominator
 coprime, the denominator's leading coefficient positive, and the
@@ -22,7 +23,7 @@ denominator ``t^m`` covers negative exponents.
 from __future__ import annotations
 
 import math
-from operator import mul, neg
+from operator import add, mul, neg
 
 
 def _coeff(c):
@@ -58,22 +59,15 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
-        # a constant hashes like the scalar it equals
-        if len(self.coeffs) < 2:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(("Poly", self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Poly({self.coeffs!r})"
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -84,16 +78,13 @@ class Poly:
             out[i] = out[i] + c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly((-other,)))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -119,7 +110,7 @@ class Poly:
         leading coefficient does not divide, so ``r`` is zero exactly when
         ``other`` divides ``self`` in Z[t]."""
         if not isinstance(other, Poly):
-            other = Poly((other,))
+            return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         b = other.coeffs
@@ -297,10 +288,8 @@ class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=Poly((1,))):
-        if not isinstance(num, Poly):
-            num = Poly((num,))
-        if not isinstance(den, Poly):
-            den = Poly((den,))
+        if not (isinstance(num, Poly) and isinstance(den, Poly)):
+            raise TypeError("RatFn takes a Poly numerator and denominator")
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
         if not num:
@@ -342,13 +331,6 @@ def ratfn_reduce(num: Poly, den: Poly) -> RatFn:
     return RatFn(num, den)
 
 
-def ratfn_mul_tpow(f: RatFn, n: int) -> RatFn:
-    """``t**n * f`` for any integer n, renormalized."""
-    if n >= 0:
-        return RatFn(Poly((0,) * n + f.num.coeffs), f.den)
-    return RatFn(f.num, Poly((0,) * -n + f.den.coeffs))
-
-
 def ratfn_eval(f: RatFn, x):
     """Exact value ``f(x)``, a ``Fraction``; raises at a pole."""
     from fractions import Fraction  # a value, not a coefficient: no import at start-up
@@ -359,12 +341,13 @@ def ratfn_eval(f: RatFn, x):
     return Fraction(f.num(x)) / Fraction(d)
 
 
-def _taylor_shift_one(p: Poly) -> Poly:
+def _taylor_shift_one(p: Poly) -> list:
     # coefficients of p(1 + x) in x, by Horner over the base 1 + x
-    base = Poly((1, 1))
-    acc = Poly(())
+    acc = []
     for c in reversed(p.coeffs):
-        acc = acc * base + c
+        acc.append(0)
+        acc[1:] = map(add, acc[1:], acc)  # acc * (1 + x), the map consumed first
+        acc[0] += c
     return acc
 
 
@@ -394,10 +377,10 @@ def series_expand_at_one(f: RatFn, order: int) -> Series:
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    q = _taylor_shift_one(f.den).coeffs
-    if not q or q[0] == 0:
+    q = _taylor_shift_one(f.den)
+    if not q[0]:
         raise ZeroDivisionError("expansion center is a pole")
-    return Series(_series_quotient(_taylor_shift_one(f.num).coeffs, q, order))
+    return Series(_series_quotient(_taylor_shift_one(f.num), q, order))
 
 
 def series_compose(outer: Series, inner: Series, order: int) -> Series:
@@ -416,6 +399,6 @@ def series_compose(outer: Series, inner: Series, order: int) -> Series:
     inner_p = Poly(inner.coeffs[: order + 1])
     acc = Poly(())
     for c in reversed(outer.coeffs[: order + 1]):
-        acc = Poly((acc * inner_p + c).coeffs[: order + 1])
+        acc = Poly((acc * inner_p + Poly((c,))).coeffs[: order + 1])
     return Series(acc.coeffs + (0,) * (order + 1 - len(acc.coeffs)))
 

@@ -325,7 +325,8 @@ def h_closed_form(p: SeifertPresentation) -> RatFn:
     n = len(v)
     # entry of A - (t-1)V as a polynomial in t
     m = [[Poly((a[i][j] + v[i][j], -v[i][j])) for j in range(n)] for i in range(n)]
-    den, num = bordered_det(m, p.v2, [Poly((e, -e)) for e in p.v3], p.lk23)
+    den, num = bordered_det(m, [Poly((e,)) for e in p.v2], [Poly((e, -e)) for e in p.v3],
+                            Poly((p.lk23,)))
     return ratfn_reduce(num, den)
 
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and over univariate polynomials.
 
-Matrices are tuples of row tuples; vectors are flat tuples.  Entries are
-either arbitrary-precision ``int`` or :class:`~linkgamma.exactnum.Poly`
-(a matrix mixing the two is lifted to polynomial entries).  Every
+Matrices are tuples of row tuples; vectors are flat tuples.  A matrix's
+entries are all arbitrary-precision ``int`` or all
+:class:`~linkgamma.exactnum.Poly`, never mixed; :func:`mat_mul`,
+:func:`mat_vec` and :func:`vec_dot` take ``int`` entries.  Every
 elimination is one fraction-free Bareiss kernel, :func:`_bareiss`, with
 exact division, so integer matrices yield integers and polynomial
 matrices yield polynomials, with no rational intermediates.  After k
@@ -70,17 +71,11 @@ def _square_rows(m, what):
 
 
 def _classify(rows):
-    # -> ("int", rows) or ("poly", rows with every entry lifted to Poly)
-    has_poly = any(isinstance(e, Poly) for row in rows for e in row)
-    if has_poly:
-        lifted = [
-            tuple([e if isinstance(e, Poly) else Poly((e,)) for e in row])
-            for row in rows
-        ]
-        return "poly", lifted
-    if all(isinstance(e, int) for row in rows for e in row):
-        return "int", rows
-    raise TypeError("matrix entries must be integers or Poly")
+    # "int" or "poly": the one type of every entry
+    for kind, cls in (("int", int), ("poly", Poly)):
+        if all(isinstance(e, cls) for row in rows for e in row):
+            return kind
+    raise TypeError("matrix entries must be all integers or all Poly")
 
 
 def _bareiss(rows, pivot_rows):
@@ -96,7 +91,8 @@ def _bareiss(rows, pivot_rows):
     ``i, j >= k``, ``m[i][j]`` is the determinant of its leading k x k
     block bordered by row i and column j (Sylvester's identity).
     """
-    m = [list(r) for r in _classify(rows)[1]]
+    _classify(rows)
+    m = [list(r) for r in rows]
     n = len(m)
     sign = 1
     prev = None  # previous pivot; first step divides by 1
@@ -168,7 +164,7 @@ def charpoly(m) -> IntVector:
     sums and products of integers occur, about n^4/4 products in all.
     """
     rows = _square_rows(m, "characteristic polynomial")
-    if _classify(rows)[0] != "int":
+    if _classify(rows) != "int":
         raise TypeError("charpoly is defined for integer matrices")
     c = [1]
     for k, row in enumerate(rows):
@@ -200,11 +196,10 @@ def _minor(rows, i, j):
 def adjugate(m):
     """Adjugate matrix: ``M * adjugate(M) == det(M) * I`` exactly."""
     rows = _square_rows(m, "adjugate")
-    kind, rows = _classify(rows)
+    kind = _classify(rows)
     n = len(rows)
     if n == 1:
-        one = 1 if kind == "int" else Poly((1,))
-        return ((one,),)
+        return ((1 if kind == "int" else Poly((1,)),),)
     out = []
     for i in range(n):
         row = []
@@ -228,7 +223,7 @@ def int_inverse(m) -> IntMatrix:
     column has no pivot).
     """
     rows = _square_rows(m, "inverse")
-    if _classify(rows)[0] != "int":
+    if _classify(rows) != "int":
         raise TypeError("int_inverse is defined for integer matrices")
     n = len(rows)
     eye = identity(n)

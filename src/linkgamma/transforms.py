@@ -66,10 +66,7 @@ def _product(a, b, order: int) -> list:
 
 
 def _times_binomial(p, e: int, order: int) -> list:
-    """Coefficients 0..order of ``(1+x)^e p``, from the row's nonzero terms;
-    zeros, with no row built, when p has no nonzero term."""
-    if not any(p):
-        return [0] * (order + 1)
+    """Coefficients 0..order of ``(1+x)^e p``, from the row's nonzero terms."""
     return _product(p, _binomials(e, order + 1 if e < 0 else min(order, e) + 1), order)
 
 
@@ -128,15 +125,13 @@ def _form_search(head, first, e: int, s: GammaSeq, limit: int):
     cheaply.  A first difference at index j means x satisfies no
     recurrence shorter than j + 1 - L, so the search then stops or waits
     for the next proposal.  The recurrence of length 0, which holds while
-    every entry read is 0, proposes the zero form, a form only of a
-    sequence of zeros, so it is checked only for one: a sequence that
-    merely starts with 0 pays no check through the order for it."""
+    every entry read is 0, is never proposed: :func:`apply_shift` and
+    :func:`swap_seq` return a sequence of zeros as it is."""
     need, rejected = 0, None
     for k, (length, d, c) in enumerate(_berlekamp_massey(head)):
         if length > limit:
             return
-        if (length or not any(s.entries)) and not (
-                d or k < need or 2 * length > k or c is rejected):
+        if length and not (d or k < need or 2 * length > k or c is rejected):
             den, m = _lift(c)
             num, i = _divide_out(_product(_times_binomial(den, m, len(den) + m - 1),
                                           first(length), length - 1), pos)
@@ -264,6 +259,8 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     adds the list to itself offset by one, and in the sign-alternated form
     ``c[k] = (-1)^k s[k]`` an inverse step is a prefix sum, so the signs are
     flipped, |n| prefix sums taken, and flipped back."""
+    if not any(s.entries):
+        return GammaSeq._built(s.entries)
     order = s.order
     fallback = min(abs(n), order + 4)
     if s._form:
@@ -317,6 +314,8 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     order^2/2 additions, and a miss at most 1/64 of them: no swap below
     order 55 searches.
     """
+    if not any(s.entries):
+        return GammaSeq._built(s.entries)
     order = s.order
     # a miss up to L terms costs 6 (L + 1)^2 operations, as in apply_shift
     limit = isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1

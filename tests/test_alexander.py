@@ -43,8 +43,17 @@ def bordered_den(p):
     a, v = intersection_form(p), p.seifert_matrix
     n = len(v)
     m = [[Poly((a[i][j] + v[i][j], -v[i][j])) for j in range(n)] for i in range(n)]
-    den, _ = bordered_det(m, p.v2, [Poly((e, -e)) for e in p.v3], p.lk23)
+    den, _ = bordered_det(m, [Poly((e,)) for e in p.v2], [Poly((e, -e)) for e in p.v3],
+                          Poly((p.lk23,)))
     return den
+
+
+def substitute(p, q):
+    # p(q) for polynomials p and q, by Horner's rule
+    acc = Poly(())
+    for c in reversed(p.coeffs):
+        acc = acc * q + Poly((c,))
+    return acc
 
 
 def divides(d, p):
@@ -122,7 +131,7 @@ def test_alexander_polynomial_structure(p):
     assert padded == padded[::-1]
     assert delta(1) == 1
     den = bordered_den(p)
-    assert delta(TWO_MINUS_T) == den
+    assert substitute(delta, TWO_MINUS_T) == den
     assert divides(h_closed_form(p).den, den)
 
 
@@ -174,6 +183,25 @@ def test_an_enlargement_keeps_gamma_and_h_up_to_a_power_of_t(monkeypatch, seed, 
     rng = random.Random(seed)
     q = enlarged(enlarged(p, rng), rng)
     assert gamma_seq(q, 30) == gamma_seq(p, 30)
+    h = h_closed_form(p)
+    calls = []
+    gcd = exactnum.poly_gcd
+    monkeypatch.setattr(exactnum, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    assert ratfn_equivalent(h_closed_form(q), h) is not None
+    assert calls
+
+
+@pytest.mark.parametrize("genus", [9, 12])
+@pytest.mark.parametrize("start", [1, 3])
+def test_enlargements_up_to_genus_twelve(monkeypatch, start, genus):
+    # the common factor of h grows with each enlargement, and the gcd's
+    # integer scaling with it: up to degree 2 * genus over degree 2 * start
+    p = gen_presentation(0, start, 3)
+    rng = random.Random(genus)
+    q = p
+    while q.genus < genus:
+        q = enlarged(q, rng)
+    assert gamma_seq(q, 60) == gamma_seq(p, 60)
     h = h_closed_form(p)
     calls = []
     gcd = exactnum.poly_gcd

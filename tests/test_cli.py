@@ -443,6 +443,22 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
+class ClosedPipe(StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stderr_open", [True, False])
+def test_closed_stdout_exits_2_and_leaves_the_streams(monkeypatch, stderr_open):
+    stdout, stderr = ClosedPipe(), StringIO() if stderr_open else ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["gamma", "-n", "5", POWERS]) == 2
+    assert (sys.stdout, sys.stderr) == (stdout, stderr)
+    if stderr_open:
+        assert stderr.getvalue() == "error: stdout closed before the output was written\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["gamma"]) == 2
     capsys.readouterr()

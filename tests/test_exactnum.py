@@ -66,9 +66,10 @@ def test_coefficients_are_ints_only():
 def test_bool_is_not_a_coefficient():
     with pytest.raises(TypeError):
         Series((True,))
-    # comparing with a bool builds no coefficient, so it does not raise
-    assert Poly((1,)) == True
-    assert Poly(()) == False
+    # a bool is no Poly: comparing with one builds no coefficient, so it
+    # does not raise, and is never equal
+    assert Poly((1,)) != True
+    assert Poly(()) != False
     assert Poly((1, 1)) != True
 
 
@@ -108,13 +109,25 @@ def test_poly_divmod_stops_where_the_lead_does_not_divide():
         poly_exact_div(Poly((0, 1, 4)), Poly((0, 2)))
 
 
-def test_constant_poly_hashes_like_its_scalar():
+def test_constant_poly_is_not_its_scalar():
     for c in (3, -7, 0):
-        assert Poly((c,)) == c
-        assert hash(Poly((c,))) == hash(c)
-    assert Poly((3,)) in {3: 0}
-    assert Poly(()) in {0} and 0 in {Poly(())}
+        assert Poly((c,)) != c and c != Poly((c,))
+        assert Poly((c,)) not in {c} and c not in {Poly((c,))}
+        assert hash(Poly((c,))) == hash(Poly((c,)).coeffs)
     assert Poly((3,)) in {Poly((3,))} and Poly((0, 3)) not in {3}
+
+
+def test_polys_combine_only_with_polys():
+    one, x1 = Poly((1,)), Poly((1, 1))
+    for op in (lambda: one + 1, lambda: 1 + one, lambda: one - 1, lambda: 1 - one,
+               lambda: divmod(x1, 2), lambda: x1 % 2, lambda: RatFn(1),
+               lambda: RatFn(one, 2), lambda: sum([one, x1])):
+        with pytest.raises(TypeError):
+            op()
+    assert not hasattr(Poly, "__radd__") and not hasattr(Poly, "__rsub__")
+    # an int scales a Poly from either side
+    assert 2 * x1 == x1 * 2 == Poly((2, 2))
+    assert sum([one, x1], Poly(())) == Poly((2, 1))
 
 
 def test_poly_gcd_is_primitive_common_divisor():

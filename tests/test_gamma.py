@@ -404,10 +404,14 @@ def test_h_elimination_swaps_on_zero_diagonal():
         assert validate(p) == []
         m = pencil(p)
         assert not m[0][0]
+        b = [Poly((e,)) for e in p.v2]
         c = [Poly((e, -e)) for e in p.v3]
-        den, num = bordered_det(m, p.v2, c, p.lk23)
+        d = Poly((p.lk23,))
+        den, num = bordered_det(m, b, c, d)
         assert den == det(m)
-        assert num == det([row + [p.v2[i]] for i, row in enumerate(m)] + [c + [p.lk23]])
+        assert num == det([row + [b[i]] for i, row in enumerate(m)] + [c + [d]])
+        with pytest.raises(TypeError):
+            bordered_det(m, p.v2, c, d)
         order = 4 * p.genus + 2
         assert series_expand_at_one(h_closed_form(p), order).coeffs == gamma_seq(p, order).entries
 

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 
@@ -41,6 +42,13 @@ def rand_poly_matrix(rng, n, deg=1):
     return tuple(
         tuple(Poly(tuple(rng.randint(-4, 4) for _ in range(deg + 1))) for _ in range(n))
         for _ in range(n)
+    )
+
+
+def poly_mat_mul(a, b):
+    # mat_mul sums from the int 0, so Poly matrices take a product of their own
+    return tuple(
+        tuple(sum(map(mul, row, col), Poly(())) for col in zip(*b)) for row in a
     )
 
 
@@ -94,6 +102,20 @@ def test_det_rejects_other_entry_types():
         det(((1.0, 0.0), (0.0, 1.0)))
 
 
+def test_mixed_matrices_are_not_lifted():
+    one = Poly((1,))
+    # every minor of this matrix has entries of one type, the matrix not
+    for f in (det, adjugate, charpoly, int_inverse):
+        with pytest.raises(TypeError):
+            f(((one, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        bordered_det(((one,),), (1,), (one,), one)
+    rows = [(one, Poly((0, 1))), (one, one)]
+    assert polylin._classify(rows) == "poly"
+    assert rows == [(one, Poly((0, 1))), (one, one)]
+    assert polylin._classify([(1, 2), (3, 4)]) == "int"
+
+
 def test_bareiss_matches_cofactor_expansion():
     rng = random.Random(5)
     for n in range(1, 6):
@@ -134,9 +156,15 @@ def test_bordered_det_matches_two_determinants():
             m = rand_poly_matrix(rng, n)
             if not det(m):
                 continue
-            b = tuple(rng.randint(-4, 4) for _ in range(n))
-            c = tuple(Poly((e, -e)) for e in b[::-1])
-            assert bordered_det(m, b, c, 3) == (det(m), det(with_border(m, b, c, 3)))
+            ints = [rng.randint(-4, 4) for _ in range(n)]
+            b = tuple(Poly((e,)) for e in ints)
+            c = tuple(Poly((e, -e)) for e in ints[::-1])
+            d = Poly((3,))
+            assert bordered_det(m, b, c, d) == (det(m), det(with_border(m, b, c, d)))
+            with pytest.raises(TypeError):
+                bordered_det(m, ints, c, d)
+            with pytest.raises(TypeError):
+                bordered_det(m, b, c, 3)
 
 
 def test_bordered_det_rejects_singular_matrix():
@@ -189,7 +217,7 @@ def test_adjugate_times_matrix_is_det_times_identity():
         expected = tuple(
             tuple(d if i == j else zero for j in range(n)) for i in range(n)
         )
-        assert mat_mul(m, adjugate(m)) == expected
+        assert poly_mat_mul(m, adjugate(m)) == expected
 
 
 # ---------------------------------------------------------------- int_inverse

@@ -18,11 +18,16 @@ SRC = str(Path(linkgamma.__file__).resolve().parent.parent)
 TIMEOUT_S = 30
 
 
-def spawn(*args):
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
+
+
+def spawn(*args):
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        [sys.executable, *args], env=child_env(), capture_output=True, text=True,
+        timeout=TIMEOUT_S
     )
 
 
@@ -81,6 +86,25 @@ def test_selftest_command_in_a_fresh_process():
     assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "selftest: PASS")
     proc = spawn("-m", "linkgamma.cli", "--machine", "selftest")
     assert proc.returncode == 0 and json.loads(proc.stdout)["pass"] is True
+
+
+def test_a_closed_stdout_is_an_input_error(tmp_path):
+    # the reader takes 20 bytes of a 600 kB sequence and closes the pipe
+    fixture = Path(linkgamma.__file__).parent / "fixtures" / "powers-of-two-link.json"
+    with open(tmp_path / "stderr", "w+b") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "linkgamma.cli", "gamma", "-n", "2000", str(fixture)],
+            env=child_env(), stdout=subprocess.PIPE, stderr=stderr)
+        try:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            assert proc.wait(timeout=TIMEOUT_S) == 2
+        finally:
+            proc.kill()
+        stderr.seek(0)
+        err = stderr.read().decode()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.count("error: ") == 1
 
 
 def test_equiv_with_a_twelve_digit_exponent(tmp_path):

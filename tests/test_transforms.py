@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkgamma.exactnum import Series, series_compose
-from linkgamma.gamma import GammaSeq, SeifertPresentation, gamma_seq, gen_presentation
-from linkgamma.polylin import det, identity, mat_mul, transpose
+from linkgamma.gamma import GammaSeq, SeifertPresentation, gamma_seq, gen_presentation, prepare
+from linkgamma.polylin import charpoly, det, identity, mat_mul, transpose
 from linkgamma import transforms
 from linkgamma.equivalence import canonicalize
 from linkgamma.transforms import (
@@ -307,8 +307,7 @@ def test_zeros_shift_and_swap_to_zeros(order):
 
 
 def test_zeros_shift_without_a_binomial_row_through_the_order(monkeypatch):
-    # the zero form's numerator is empty: its expansion needs no row of
-    # C(e + n, j); only the search's own short rows (306 terms here) are built
+    # a sequence of zeros is its own shift: no search, and no binomial row
     sizes = []
     binomials = transforms._binomials
     monkeypatch.setattr(transforms, "_binomials",
@@ -316,7 +315,7 @@ def test_zeros_shift_without_a_binomial_row_through_the_order(monkeypatch):
     zeros = GammaSeq((0,) * 3001)
     for n in (5000, -15000):
         assert apply_shift(zeros, n) == zeros
-    assert sizes and max(sizes) < 3001 // 4
+    assert sizes == []
 
 
 def scaled_gamma_seq(seed, genus, factor, order):
@@ -493,6 +492,66 @@ def test_swap_takes_each_route(monkeypatch):
         routes.clear()
         assert swap_seq(seq).entries == pascal_swap(seq.entries)
         assert routes == found
+
+
+def least_swap_order(terms):
+    # the least order whose swap searches for forms of up to this many terms
+    order = 1
+    while math.isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1 < terms:
+        order += 1
+    return order
+
+
+def swap_with_forms_found(monkeypatch, s):
+    # swap_seq(s), and each form its search found
+    found = []
+
+    def searching(head, first, e, s, limit):
+        for form in form_search(head, first, e, s, limit):
+            if form:
+                found.append(form)
+            yield form
+
+    form_search = transforms._form_search
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "_form_search", searching)
+        return swap_seq(s), found
+
+
+def table_swap(monkeypatch, s):
+    # swap_seq(s) with its search disabled: the forward-sum table
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "_form_search", lambda *args: iter(()))
+        return swap_seq(s)
+
+
+@pytest.mark.parametrize("genus", [9, 10])
+def test_swap_through_forms_at_genus_nine_and_ten(monkeypatch, genus):
+    order = least_swap_order(2 * genus + 1)
+    assert genus != 9 or order == 554
+    s = gamma_seq(gen_presentation(0, genus, 3), order)
+    swapped, found = swap_with_forms_found(monkeypatch, s)
+    assert len(found) == 1
+    assert swapped == table_swap(monkeypatch, s)
+    for k in (1, order // 2, order):
+        assert swapped.entries[k] == mixed_gamma0(s, 0, k)
+    back, found = swap_with_forms_found(monkeypatch, swapped)
+    assert len(found) == 1 and back == s
+
+
+def test_swap_at_genus_twelve_takes_the_table(monkeypatch):
+    # a coefficient of charpoly here passes the symmetric range of
+    # p = 2^61 - 1 that transforms._lift assumes, so the one proposal fails
+    # its exact check
+    order = least_swap_order(25)
+    p = prepare(gen_presentation(0, 12, 3))
+    assert max(map(abs, charpoly(p._prepared[1]))) > transforms._P // 2
+    s = gamma_seq(p, order)
+    swapped, found = swap_with_forms_found(monkeypatch, s)
+    assert found == []
+    assert swapped == table_swap(monkeypatch, s)
+    for k in (1, order // 2, order):
+        assert swapped.entries[k] == mixed_gamma0(s, 0, k)
 
 
 @given(s=sequences(60))
