@@ -148,12 +148,6 @@ def _form_search(head, first, e: int, s: GammaSeq, limit: int):
         yield None
 
 
-def _own_search(s: GammaSeq, limit: int):
-    """The search for a form ``(1+x)^f P/C`` of s itself (e = 0)."""
-    head = s.entries[: 2 * limit + 2]
-    return _form_search(head, lambda m: s.entries[:m], 0, s, limit)
-
-
 def _tail_search(s: GammaSeq, limit: int):
     """Search, one of the last ``2 * limit + 2`` entries of s per step, for
     a form ``(1+x)^f P/C`` of s with ``C[0] == 1`` and
@@ -319,7 +313,8 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     order = s.order
     # a miss up to L terms costs 6 (L + 1)^2 operations, as in apply_shift
     limit = isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1
-    form = next(filter(None, _own_search(s, limit)), None) if limit > 0 else None
+    search = _form_search(s.entries[: 2 * limit + 2], lambda m: s.entries[:m], 0, s, limit)
+    form = next(filter(None, search), None) if limit > 0 else None
     if form:
         num, den, f = form
         d = max([len(den) - 1] + [i for i, v in enumerate(num) if v])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import linkgamma
 from linkgamma import cli, gamma, polylin
 from linkgamma.cli import main
-from linkgamma.fileformat import sequence_from_doc
+from linkgamma.fileformat import InputFormatError, sequence_from_doc
 from linkgamma.gamma import GammaSeq, gen_presentation
 
 FIXTURES = Path(str(resource_files("linkgamma") / "fixtures"))
@@ -139,6 +139,16 @@ def test_ragged_matrix_names_the_row(capsys, tmp_path):
     code, out, err = run(capsys, "h", path)
     assert code == 2 and out == ""
     assert "row 1 has length 1, expected 2" in err
+
+
+def test_an_empty_sequence_exits_2(capsys, tmp_path):
+    with pytest.raises(InputFormatError, match="field 'gamma': array must be nonempty"):
+        sequence_from_doc({"gamma": []})
+    path = write(tmp_path, "empty.json", {"gamma": []})
+    for argv in (["swap", path], ["--machine", "milnor", path], ["equiv", path, path]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "array must be nonempty" in err
 
 
 def test_missing_file(capsys, tmp_path):

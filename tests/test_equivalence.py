@@ -109,6 +109,19 @@ def test_equiv_non_integral_ratio_is_distinct():
     assert are_equivalent(GammaSeq((2, 1, 0)), GammaSeq((2, 2, 0))) == EquivVerdict.distinct(1)
 
 
+def test_equiv_with_the_leading_entry_last(monkeypatch):
+    # the leading index is the order, so every shift leaves the sequence as
+    # it is and the verdict is equivalent(0) without a shift
+    shifts = []
+    monkeypatch.setattr(equivalence, "apply_shift", lambda *args: shifts.append(args))
+    s = GammaSeq((0, 0, 5))
+    assert are_equivalent(s, s) == EquivVerdict.equivalent(0)
+    assert are_equivalent(s, GammaSeq((0, 0, -5))) == EquivVerdict.distinct(2)
+    assert shifts == []
+    # one step adds each entry's predecessor to it, and leaves s as it is
+    assert (0,) + tuple(a + b for a, b in zip(s.entries[1:], s.entries)) == s.entries
+
+
 def test_equiv_order_mismatch():
     with pytest.raises(ValueError, match="order mismatch"):
         are_equivalent(GammaSeq((1, 2)), GammaSeq((1, 2, 3)))

@@ -109,6 +109,14 @@ def test_poly_divmod_stops_where_the_lead_does_not_divide():
         poly_exact_div(Poly((0, 1, 4)), Poly((0, 2)))
 
 
+def test_poly_division_by_the_zero_poly_raises():
+    for a in (Poly(()), Poly((1,)), Poly((0, 3, -2))):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            divmod(a, Poly(()))
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            a % Poly(())
+
+
 def test_constant_poly_is_not_its_scalar():
     for c in (3, -7, 0):
         assert Poly((c,)) != c and c != Poly((c,))

@@ -89,6 +89,27 @@ def test_validate_rejects_a_bool_genus():
         gamma_seq(p, 3)
 
 
+@pytest.mark.parametrize(
+    "args, problems",
+    [
+        ((1, (), (), (), 0), ["seifert_matrix must be square, got shape 0x0"]),
+        ((1, ((0, 2.0), (1, 0)), (1, 0), (0, 1), 1), ["seifert_matrix entries must be integers"]),
+        ((1, ((0, 2), (1, 0)), (1, "0"), (0, 1.5), 1),
+         ["v2 entries must be integers", "v3 entries must be integers"]),
+        ((1, ((0, 2), (1, 0)), (1, 0), (0, True), 1), ["v3 entries must be integers"]),
+        ((1, ((0, 2), (1, 0)), (1, 0), (0, 1), 1.0), ["lk23 must be an integer"]),
+        ((1, ((0, 2), (1, 0)), (1, 0), (0, 1), False), ["lk23 must be an integer"]),
+    ],
+    ids=["empty-matrix", "float-entry", "v2-and-v3-entries", "bool-v3-entry", "float-lk23",
+         "bool-lk23"],
+)
+def test_validate_names_each_non_integer_field(args, problems):
+    p = SeifertPresentation(*args)
+    assert validate(p) == problems
+    with pytest.raises(ValueError, match="invalid presentation: " + problems[0]):
+        prepare(p)
+
+
 def test_operations_reject_invalid_presentation():
     bad = SeifertPresentation(1, ((0, 1), (1, 0)), (1, 0), (0, 1), 0)
     for op in (

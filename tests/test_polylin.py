@@ -113,6 +113,9 @@ def test_mixed_matrices_are_not_lifted():
     rows = [(one, Poly((0, 1))), (one, one)]
     assert polylin._classify(rows) == "poly"
     assert rows == [(one, Poly((0, 1))), (one, one)]
+    # det and adjugate take an all-Poly matrix; the integer inverse does not
+    with pytest.raises(TypeError, match="int_inverse is defined for integer matrices"):
+        int_inverse(rows)
     assert polylin._classify([(1, 2), (3, 4)]) == "int"
 
 

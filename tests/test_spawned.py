@@ -31,27 +31,47 @@ def spawn(*args):
     )
 
 
-def modules_the_cli_import_adds():
+def modules_an_import_adds(module="linkgamma.cli"):
     code = (
-        "import json, sys; before = set(sys.modules); import linkgamma.cli; "
+        f"import json, sys; before = set(sys.modules); import {module}; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     proc = spawn("-c", code)
     assert proc.returncode == 0, proc.stderr
     added = json.loads(proc.stdout)
-    assert "linkgamma.cli" in added
+    assert module in added
     return added
 
 
+def package_modules(added):
+    return {m for m in added if m.split(".")[0] == "linkgamma"}
+
+
+def test_the_package_root_loads_no_module():
+    # each name has one import path, its module's, so importing gamma
+    # loads only what gamma itself imports
+    added = package_modules(modules_an_import_adds("linkgamma.gamma"))
+    assert added == {"linkgamma", "linkgamma.gamma", "linkgamma.exactnum", "linkgamma.polylin"}
+
+
+def test_importing_the_cli_loads_the_modules_its_commands_use():
+    # a benchmark set-up imports the command line and reads these modules
+    # from sys.modules; selftest is imported by its own command only
+    added = package_modules(modules_an_import_adds())
+    assert added == {"linkgamma"} | {
+        f"linkgamma.{m}" for m in ("polylin", "exactnum", "gamma", "transforms",
+                                    "equivalence", "milnor", "fileformat", "cli")}
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_selftest():
-    added = modules_the_cli_import_adds()
+    added = modules_an_import_adds()
     assert "dataclasses" not in added
     assert "linkgamma.selftest" not in added
 
 
 def test_importing_the_cli_loads_neither_fractions_nor_decimal():
     # every coefficient is an int, and fractions would bring decimal along
-    added = modules_the_cli_import_adds()
+    added = modules_an_import_adds()
     assert "fractions" not in added
     assert "decimal" not in added
 

@@ -1,5 +1,8 @@
+import linecache
 import math
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +23,8 @@ from linkgamma.transforms import (
 )
 
 MOBIUS = Series((0,) + (-1, 1) * 8)
+# the powers-of-two fixture: h = (1 - x)/(1 - 2x), gamma = 1, 1, 2, 4, 8, ...
+POWERS_OF_TWO = SeifertPresentation(1, ((0, 2), (1, 0)), (1, 0), (0, 1), 1)
 
 
 def rand_seq(rng, order):
@@ -297,6 +302,52 @@ def test_a_leading_zero_pays_no_check_of_the_zero_form(monkeypatch):
         assert [upto for num, upto in checks if not num] == []
 
 
+@contextmanager
+def lines_run(func):
+    # the stripped source lines of func, in the order its frames run them,
+    # generator frames resumed included
+    ran, code = [], func.__code__
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.append(linecache.getline(code.co_filename, frame.f_lineno).strip())
+        return line
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    try:
+        yield ran
+    finally:
+        sys.settrace(old)
+
+
+def ran_in_turn(ran, *lines):
+    return any(tuple(ran[i : i + len(lines)]) == lines for i in range(len(ran)))
+
+
+@pytest.mark.parametrize("ones, branch", [
+    # the proposal 1 - x holds on the 5 ones but fails 4 entries on, within
+    # the limit of 11: rejected, and the search reads on
+    (5, ("need, rejected = j + 1 - start, c",)),
+    # it fails 14 entries on, farther than the limit: the search gives up
+    (14, ("if j + 1 - held > limit:", "return")),
+    # it holds through the order, and the noise before it leaves d no
+    # numerator of at most `terms` terms
+    (24, ("for r in range(terms):", "return")),
+])
+def test_tail_search_exits(ones, branch):
+    # order 300 and n = 200 give a limit of 11, so the tail search reads the
+    # last 24 entries, here `ones` ones after noise
+    order, n = 300, 200
+    start = order - 23
+    noise = rand_seq(random.Random(1), order).entries
+    s = GammaSeq(noise[:start] + (1,) * ones + noise[start + ones :])
+    with lines_run(transforms._tail_search) as ran:
+        shifted = apply_shift(s, n)
+    assert ran_in_turn(ran, *branch)
+    assert shifted.entries == stepped(s.entries, n)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 30, 300, 1000])
 def test_zeros_shift_and_swap_to_zeros(order):
     zeros = GammaSeq((0,) * (order + 1))
@@ -494,6 +545,29 @@ def test_swap_takes_each_route(monkeypatch):
         assert routes == found
 
 
+def test_form_search_gives_up_on_a_far_mismatch():
+    # 1 - x holds on the first 15 entries: at order 300 the swap's limit of
+    # 9 cannot reach past it, so the search stops and the table swaps
+    s = GammaSeq((1,) * 15 + rand_seq(random.Random(2), 285).entries)
+    with lines_run(transforms._form_search) as ran:
+        swapped = swap_seq(s)
+    assert ran_in_turn(ran, "if j + 1 - length > limit:", "return")
+    assert [swapped.entries[k] for k in range(1, 301)] == [
+        mixed_gamma0(s, 0, k) for k in range(1, 301)]
+
+
+def test_form_search_ends_after_its_form():
+    # callers stop at the form; a caller that reads on finds the search ended
+    s = GammaSeq(gamma_seq(POWERS_OF_TWO, 100).entries)
+    with lines_run(transforms._form_search) as ran:
+        steps = list(transforms._form_search(s.entries[:6], lambda m: s.entries[:m], 0, s, 2))
+    assert ran_in_turn(ran, "yield num, den, f", "return")
+    num, den, f = steps[-1]
+    assert steps[:-1] == [None] * (len(steps) - 1)
+    expanded = transforms._series_quotient(transforms._times_binomial(num, f, 100), den, 100)
+    assert expanded == list(s.entries)
+
+
 def least_swap_order(terms):
     # the least order whose swap searches for forms of up to this many terms
     order = 1
@@ -523,6 +597,23 @@ def table_swap(monkeypatch, s):
     with monkeypatch.context() as m:
         m.setattr(transforms, "_form_search", lambda *args: iter(()))
         return swap_seq(s)
+
+
+@pytest.mark.parametrize("order, forms", [
+    (80, []),  # a limit of 1 term: the search misses, the table swaps
+    (83, [([1, -1], [1, -2], 0)]),  # the first order with a limit of 2
+    (95, [([1, -1], [1, -2], 0)]),
+    (110, [([1, -1], [1, -2], 0)]),  # the last order with a limit of 2
+])
+def test_a_reduced_h_swaps_through_a_two_term_form(monkeypatch, order, forms):
+    # h reduces to a form of 2 terms, short enough for the smallest limits
+    # that search (orders 55 to 110)
+    s = GammaSeq(gamma_seq(POWERS_OF_TWO, order).entries)  # without its carried form
+    limit = math.isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1
+    assert limit == (1 if order == 80 else 2)
+    swapped, found = swap_with_forms_found(monkeypatch, s)
+    assert found == forms
+    assert swapped == table_swap(monkeypatch, s)
 
 
 @pytest.mark.parametrize("genus", [9, 10])
