@@ -58,11 +58,9 @@ from .polylin import (
     charpoly,
     charpoly_cost,
     det,
-    identity,
     int_inverse,
     mat_mul,
     mat_vec,
-    transpose,
     vec_dot,
 )
 
@@ -330,46 +328,37 @@ def h_closed_form(p: SeifertPresentation) -> RatFn:
     return ratfn_reduce(num, den)
 
 
-def _symplectic(n: int) -> IntMatrix:
-    j = [[0] * n for _ in range(n)]
-    for b in range(0, n, 2):
-        j[b][b + 1] = 1
-        j[b + 1][b] = -1
-    return tuple(tuple(row) for row in j)
-
-
 def gen_presentation(seed: int, genus: int, bound: int) -> SeifertPresentation:
     """Deterministic pseudorandom valid presentation.
 
     Strictly-lower and diagonal entries of V are drawn from
     ``[-bound, bound]``; strictly-upper entries are set so that
-    ``V - V^T`` equals the standard symplectic form, then the matrix is
-    conjugated by a few random unimodular shears (which preserves
-    ``det(V - V^T) = 1``).  The same arguments always produce the same
+    ``V - V^T`` equals the standard symplectic form, then V is taken to
+    ``S^T V S`` by a few random unimodular shears ``S = I + s e_r e_c^T``
+    (which preserves ``det(V - V^T) = 1``).  Each shear is a column
+    operation, column c += s * column r, then a row operation, row c +=
+    s * row r, O(n) each.  The same arguments always produce the same
     presentation.
     """
-    if genus < 1:
-        raise ValueError("genus must be positive")
-    if bound < 1:
-        raise ValueError("bound must be positive")
+    for label, value in (("genus", genus), ("bound", bound)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{label} must be a positive integer, got {value!r}")
     rng = random.Random(seed * 1_000_003 + genus * 1_009 + bound)
     n = 2 * genus
-    j = _symplectic(n)
     v = [[0] * n for _ in range(n)]
     for i in range(n):
         for col in range(i + 1):
-            v[i][col] = rng.randint(-bound, bound)
-    for i in range(n):
-        for col in range(i + 1, n):
-            v[i][col] = v[col][i] + j[i][col]
-    v = tuple(tuple(row) for row in v)
+            v[i][col] = v[col][i] = rng.randint(-bound, bound)
+    for b in range(0, n, 2):
+        v[b][b + 1] += 1
     for _ in range(rng.randint(0, n)):
         r, c = rng.randrange(n), rng.randrange(n)
         if r == c:
             continue
-        shear = [list(row) for row in identity(n)]
-        shear[r][c] = rng.choice((-1, 1))
-        v = mat_mul(transpose(shear), mat_mul(v, shear))
+        s = rng.choice((-1, 1))
+        for row in v:
+            row[c] += s * row[r]
+        v[c] = [x + s * y for x, y in zip(v[c], v[r])]
     v2 = tuple(rng.randint(-bound, bound) for _ in range(n))
     v3 = tuple(rng.randint(-bound, bound) for _ in range(n))
     lk23 = rng.randint(-bound, bound)
