@@ -34,6 +34,16 @@ def _coeff(c):
     raise TypeError(f"int coefficient required, got {type(c).__name__}")
 
 
+def _require_int(value, what: str, least: int | None = None) -> None:
+    """The check of every order, index and count argument: ``ValueError``
+    unless ``value`` is an ``int`` but not a ``bool``, and, given
+    ``least``, at least ``least`` (0: nonnegative, 1: positive)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be {'positive' if least else 'nonnegative'}")
+
+
 class Poly:
     """Dense univariate polynomial with integer coefficients.
 
@@ -375,8 +385,7 @@ def series_expand_at_one(f: RatFn, order: int) -> Series:
     any other nonzero den(1) raises ``ValueError``, and a pole (den(1) = 0)
     ``ZeroDivisionError``.
     """
-    if order < 0:
-        raise ValueError("expansion order must be nonnegative")
+    _require_int(order, "expansion order", 0)
     q = _taylor_shift_one(f.den)
     if not q[0]:
         raise ZeroDivisionError("expansion center is a pole")
@@ -390,8 +399,7 @@ def series_compose(outer: Series, inner: Series, order: int) -> Series:
     series must have zero constant term (otherwise the truncated
     composition is not determined by finitely many coefficients).
     """
-    if order < 0:
-        raise ValueError("composition order must be nonnegative")
+    _require_int(order, "composition order", 0)
     if outer.order < order or inner.order < order:
         raise ValueError("series order insufficient for requested truncation")
     if inner.coeffs[0] != 0:

@@ -50,13 +50,12 @@ from collections import deque
 from itertools import accumulate, islice, repeat
 from operator import mul
 
-from .exactnum import Poly, RatFn, _series_quotient, ratfn_reduce
+from .exactnum import Poly, RatFn, _require_int, _series_quotient, ratfn_reduce
 from .polylin import (
     IntMatrix,
     IntVector,
     bordered_det,
     charpoly,
-    charpoly_cost,
     det,
     int_inverse,
     mat_mul,
@@ -244,28 +243,26 @@ def _recursion(p: SeifertPresentation):
 def derivative_class(p: SeifertPresentation, k: int) -> IntVector:
     """Homology class ``(V A^-1)^k v2`` of the k-fold derived second
     component in the surface complement."""
+    _require_int(k, "derivative order k", 1)
     prepare(p)
-    if k < 1:
-        raise ValueError("derivative order k must be positive")
     return mat_vec(p.seifert_matrix, next(islice(_recursion(p), k - 1, None)))
 
 
 def gamma_k(p: SeifertPresentation, k: int) -> int:
     """The k-th gamma invariant of the presentation (k = 0 is ``lk23``),
     from the vector recursion alone."""
+    _require_int(k, "gamma index", 0)
     prepare(p)
-    if k < 0:
-        raise ValueError("gamma index must be nonnegative")
     if not k:
         return p.lk23
     return vec_dot(next(islice(_recursion(p), k - 1, None)), p.v3)
 
 
 def _recurrence_pays(n: int, order: int) -> bool:
-    # Work counted as calls into C plus the products they take: a term past
-    # the n-th costs the vector recursion n + 1 sums of n products (a
-    # mat_vec and a vec_dot) and the recurrence one
-    return charpoly_cost(n) < (order - n) * n * (n + 1)
+    # charpoly's ~n^4/4 products pay once the order - n terms past the n-th
+    # cost more than n^2/4 vector steps of n^2 products; the 16 (four steps)
+    # stands for charpoly's fixed costs, which decide genus 1-2
+    return 4 * (order - n) >= n * n + 16
 
 
 def gamma_seq(p: SeifertPresentation, order: int) -> GammaSeq:
@@ -286,9 +283,8 @@ def gamma_seq(p: SeifertPresentation, order: int) -> GammaSeq:
     0..n, truncated to degree n, the sequence expands P/C, and the result
     carries that form.
     """
+    _require_int(order, "sequence order", 0)
     prepare(p)
-    if order < 0:
-        raise ValueError("sequence order must be nonnegative")
     v3 = p.v3
     n = len(v3)
     head = n if _recurrence_pays(n, order) else order

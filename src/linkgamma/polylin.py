@@ -179,16 +179,6 @@ def charpoly(m) -> IntVector:
     return tuple(c)
 
 
-def charpoly_cost(n: int) -> int:
-    """The work :func:`charpoly` does on an n x n matrix, counted as its
-    calls into C (each ``sum(map(...))``, and the 2n^2 + 2n of its input
-    checks) plus the products those sums take: bordering step k makes k
-    vec_dots and k mat_vecs of size k, k(k+1)^2 in all, and a convolution
-    of k + 2 sums with (k+1)(k+4)/2 products."""
-    return 2 * n * n + 2 * n + sum(
-        k * (k + 1) ** 2 + k + 2 + (k + 1) * (k + 4) // 2 for k in range(n))
-
-
 def _minor(rows, i, j):
     return [row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i]
 

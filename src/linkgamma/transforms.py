@@ -24,7 +24,7 @@ from itertools import accumulate, compress, count, repeat, zip_longest
 from math import isqrt
 from operator import add, mul, ne, neg, pos
 
-from .exactnum import _P, _berlekamp_massey, _series_quotient
+from .exactnum import _P, _berlekamp_massey, _require_int, _series_quotient
 from .gamma import GammaSeq
 
 
@@ -253,6 +253,7 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     adds the list to itself offset by one, and in the sign-alternated form
     ``c[k] = (-1)^k s[k]`` an inverse step is a prefix sum, so the signs are
     flipped, |n| prefix sums taken, and flipped back."""
+    _require_int(n, "shift count n")
     if not any(s.entries):
         return GammaSeq._built(s.entries)
     order = s.order
@@ -337,10 +338,8 @@ def mixed_gamma0(s: GammaSeq, p: int, l: int) -> int:
     The binomials are one row, built left to right by
     ``C(l-1, j) = C(l-1, j-1) * (l-j) / j``, each division exact, so the
     whole value is O(l) products."""
-    if p < 0:
-        raise ValueError("derivative count p must be nonnegative")
-    if l < 1:
-        raise ValueError("derivative count l must be positive")
+    _require_int(p, "derivative count p", 0)
+    _require_int(l, "derivative count l", 1)
     if p + l > s.order:
         raise ValueError(
             f"insufficient sequence order: need at least {p + l}, have {s.order}"
@@ -361,6 +360,5 @@ def beta_from_gamma(s: GammaSeq, k: int) -> int:
     arbitrary sequences; only sequences actually arising from such links
     make the value a link invariant.
     """
-    if k < 1:
-        raise ValueError("beta index k must be positive")
+    _require_int(k, "beta index k", 1)
     return mixed_gamma0(s, k, k)

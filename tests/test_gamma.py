@@ -189,6 +189,18 @@ def test_recurrence_switch_keeps_short_sequences_on_the_vector_recursion():
         assert _recurrence_pays(2 * genus, 1000)
 
 
+def test_recurrence_switch_orders_are_pinned():
+    # the first order on the characteristic-polynomial recurrence at genus
+    # 1-8; gamma_seq carries the recurrence's form from exactly that order
+    for genus, first in enumerate((7, 12, 19, 28, 39, 52, 67, 84), 1):
+        n = 2 * genus
+        assert not any(_recurrence_pays(n, order) for order in range(first))
+        assert _recurrence_pays(n, first)
+        p = gen_presentation(genus, genus, 3)
+        assert gamma_seq(p, first - 1)._form is None
+        assert gamma_seq(p, first)._form is not None
+
+
 def vector_recursion(p, order):
     # gamma_0..gamma_order read off one pass of u_k = B^(k-1) A^-1 v2,
     # checked against gamma_k at the last entry

@@ -10,7 +10,6 @@ from linkgamma.polylin import (
     adjugate,
     bordered_det,
     charpoly,
-    charpoly_cost,
     det,
     identity,
     int_inverse,
@@ -321,27 +320,6 @@ def test_charpoly_matches_determinant_of_char_matrix(n, kind):
             assert c[-1] == 0
         if kind == "non-unimodular":
             assert abs(c[-1]) > 1
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_charpoly_cost_counts_its_sums_and_products(n, monkeypatch):
-    # charpoly_cost is 2n^2 + 2n input checks plus one per sum and product
-    sums, products = [], []
-
-    def counting_sum(values):
-        sums.append(1)
-        return sum(values)
-
-    def counting_mul(a, b):
-        products.append(1)
-        return a * b
-
-    m = rand_int_matrix(random.Random(n), n)
-    cost = charpoly_cost(n)
-    monkeypatch.setattr(polylin, "sum", counting_sum, raising=False)
-    monkeypatch.setattr(polylin, "mul", counting_mul)
-    charpoly(m)
-    assert cost == 2 * n * n + 2 * n + len(sums) + len(products)
 
 
 def test_charpoly_small_cases():

@@ -1,6 +1,7 @@
 """Checks that need a fresh interpreter: what importing the command line
-loads and builds, inputs whose run time must not grow with an integer they
-hold, and memory left behind by repeated construction.
+loads and builds, long commands checked against the library, inputs whose
+run time must not grow with an integer they hold, and memory left behind by
+repeated construction.
 Each process has a timeout, so a regression fails instead of hanging."""
 
 import json
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import linkgamma
+from linkgamma.equivalence import are_equivalent
+from linkgamma.gamma import GammaSeq, SeifertPresentation, gamma_seq, gen_presentation
 
 SRC = str(Path(linkgamma.__file__).resolve().parent.parent)
 TIMEOUT_S = 30
@@ -125,6 +128,56 @@ def test_a_closed_stdout_is_an_input_error(tmp_path):
         err = stderr.read().decode()
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.count("error: ") == 1
+
+
+def presentation_file(path, p):
+    fields = ("genus", "seifert_matrix", "v2", "v3", "lk23")
+    path.write_text(json.dumps({f: getattr(p, f) for f in fields}), encoding="utf-8")
+    return str(path)
+
+
+def cli(*args):
+    proc = spawn("-m", "linkgamma.cli", *args)
+    assert not proc.stderr
+    return proc
+
+
+def test_an_order_1000_sequence_swapped_twice_reads_back(tmp_path):
+    # swap is an involution; each swap goes through the sequence's short form
+    p = presentation_file(tmp_path / "p.json", gen_presentation(1, 3, 3))
+    (tmp_path / "gamma.json").write_text(
+        cli("--machine", "gamma", "-n", "1000", p).stdout, encoding="utf-8")
+    (tmp_path / "swap.json").write_text(
+        cli("--machine", "swap", str(tmp_path / "gamma.json")).stdout, encoding="utf-8")
+    back = cli("swap", str(tmp_path / "swap.json"))
+    assert back.returncode == 0
+    assert back.stdout == cli("gamma", "-n", "1000", p).stdout
+
+
+def test_equiv_at_order_1000_gives_the_verdict_of_form_free_copies(tmp_path):
+    # the command shifts through a sequence's carried form; are_equivalent
+    # here shifts copies that carry none
+    base = gen_presentation(6, 3, 3)
+    pres = [SeifertPresentation(3, base.seifert_matrix, base.v2, [k * e for e in base.v3], 1)
+            for k in (1, 3)]
+    files = [presentation_file(tmp_path / f"v3-times-{k}.json", p) for k, p in zip((1, 3), pres)]
+    v = are_equivalent(*[GammaSeq(gamma_seq(p, 1000).entries) for p in pres])
+    fields = (("verdict", v.kind), ("shift", v.shift), ("witness_index", v.witness_index))
+    code = {"equivalent": 0, "distinct": 4}[v.kind]
+    plain = cli("equiv", "-n", "1000", *files)
+    machine = cli("--machine", "equiv", "-n", "1000", *files)
+    assert (plain.returncode, plain.stdout) == (code, f"{v}\n")
+    assert machine.returncode == code
+    assert json.loads(machine.stdout) == {k: x for k, x in fields if x is not None}
+
+
+def test_h_expansion_equals_the_gamma_sequence_at_genus_5(tmp_path):
+    # the bordered determinant and the integer gcd against the recursion
+    p = presentation_file(tmp_path / "genus-5.json", gen_presentation(2, 5, 3))
+    h = cli("--machine", "h", "--expand", "60", p)
+    gamma = cli("--machine", "gamma", "-n", "60", p)
+    assert h.returncode == gamma.returncode == 0
+    assert json.loads(h.stdout)["expansion"] == json.loads(gamma.stdout)["gamma"]
 
 
 def test_equiv_with_a_twelve_digit_exponent(tmp_path):

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkgamma.exactnum import Series, series_compose
-from linkgamma.gamma import GammaSeq, SeifertPresentation, gamma_seq, gen_presentation, prepare
+from linkgamma.exactnum import Poly, RatFn, Series, series_compose, series_expand_at_one
+from linkgamma.gamma import (
+    GammaSeq,
+    SeifertPresentation,
+    derivative_class,
+    gamma_k,
+    gamma_seq,
+    gen_presentation,
+    prepare,
+)
 from linkgamma.polylin import charpoly, det, identity, mat_mul, transpose
 from linkgamma import transforms
 from linkgamma.equivalence import canonicalize
@@ -684,6 +692,31 @@ def test_mixed_order_and_argument_errors():
         mixed_gamma0(s, -1, 1)
     with pytest.raises(ValueError):
         mixed_gamma0(s, 0, 0)
+
+
+# the order, index and count arguments: each call takes one argument from
+# the test; the presentation is invalid and the sequences too short, so only
+# a check made before any other work raises "must be an integer"
+INVALID = SeifertPresentation(1, ((0, 1), (1, 0)), (1, 0), (0, 1), 0)
+SHORT = GammaSeq((0, 1))
+INTEGER_ARGUMENTS = {
+    "gamma_seq": lambda x: gamma_seq(INVALID, x),
+    "gamma_k": lambda x: gamma_k(INVALID, x),
+    "derivative_class": lambda x: derivative_class(INVALID, x),
+    "series_expand_at_one": lambda x: series_expand_at_one(RatFn(Poly((1,)), Poly((0, 1))), x),
+    "series_compose": lambda x: series_compose(Series((0,)), Series((1,)), x),
+    "apply_shift": lambda x: apply_shift(SHORT, x),
+    "mixed_gamma0 p": lambda x: mixed_gamma0(SHORT, x, 5),
+    "mixed_gamma0 l": lambda x: mixed_gamma0(SHORT, 5, x),
+    "beta_from_gamma": lambda x: beta_from_gamma(SHORT, x),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, None], ids=repr)
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_reject_bools_and_non_ints(name, value):
+    with pytest.raises(ValueError, match=rf"must be an integer, got {value!r}$"):
+        INTEGER_ARGUMENTS[name](value)
 
 
 # ------------------------------------------------------------ beta_from_gamma
