@@ -81,7 +81,9 @@ def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
     one past the leading index moves by (shift exponent) * (leading value),
     which pins the only candidate exponent; the remaining entries are then
     compared outright, after shifting whichever sequence carries a form
-    (see :func:`~linkgamma.transforms.apply_shift`).
+    (see :func:`~linkgamma.transforms.apply_shift`).  That comparison
+    through the order proves an equivalent form-free side equal to T^m of
+    the side that carries ``(P, C, e)``, so it keeps ``(P, C, e + m)``.
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
@@ -104,14 +106,17 @@ def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
         return EquivVerdict.distinct(k + 1)
     n = diff // lead
     # T^-n is unitriangular, so a - T^-n b first differs where T^n a - b does
-    src, m, other = (b, -n, a.entries) if b._form and not a._form else (a, n, b.entries)
+    src, m, other = (b, -n, a) if b._form and not a._form else (a, n, b)
     # entry i of a shift reads entries up to i, so a prefix shows a
     # difference near the front without shifting the whole sequence
     for upto in sorted({min(a.order, k + _PREFIX), a.order}):
         shifted = apply_shift(GammaSeq._built(src.entries[: upto + 1], src._form), m).entries
-        if shifted[k + 1 :] != other[k + 1 : upto + 1]:
-            pairs = map(ne, shifted[k + 1 :], other[k + 1 :])
+        if shifted[k + 1 :] != other.entries[k + 1 : upto + 1]:
+            pairs = map(ne, shifted[k + 1 :], other.entries[k + 1 :])
             return EquivVerdict.distinct(next(compress(count(k + 1), pairs)))
+    if src._form and not other._form:
+        num, den, e = src._form
+        other._keep((num, den, e + m))
     return EquivVerdict.equivalent(n)
 
 

@@ -70,7 +70,7 @@ class Record:
 
     Subclasses set their slots once, in ``__init__`` through ``_set``;
     after that, assigning or deleting an attribute raises
-    ``AttributeError`` (this module may fill in a private slot later, with
+    ``AttributeError`` (the library may fill in a private slot later, with
     ``object.__setattr__``).  Equality and hashing compare the field
     values of two records of the same class, ``repr`` shows every field,
     and copying and pickling rebuild the record through its constructor.
@@ -141,8 +141,13 @@ class GammaSeq(Record):
     A sequence that :func:`gamma_seq` continued through its recurrence
     carries its form ``(P, C, 0)``: integer tuples with ``C[0] == 1`` such
     that P/C expands to the entries through the order, the shape of the
-    forms :func:`~linkgamma.transforms.apply_shift` searches for.  The form
-    is not a field, and the public constructor never attaches one."""
+    forms ``(1+x)^f P/C`` that :func:`~linkgamma.transforms.apply_shift`
+    searches for.  A form-free sequence keeps (:meth:`_keep`) the form a
+    shift's or a swap's search found and checked, or that an equivalent
+    verdict proved from the other side's form; concurrent calls keep
+    equally valid forms.  The form is not a field: the public constructor
+    never attaches one, and equality, hashing, ``repr`` and pickling
+    ignore it."""
 
     __slots__ = ("entries", "_form")
 
@@ -164,6 +169,11 @@ class GammaSeq(Record):
     @property
     def order(self) -> int:
         return len(self.entries) - 1
+
+    def _keep(self, form) -> None:
+        """Carry ``(P, C, f)``, proved equal to the entries through the order."""
+        num, den, f = form
+        object.__setattr__(self, "_form", (tuple(num), tuple(den), f))
 
 
 def intersection_form(p: SeifertPresentation) -> IntMatrix:

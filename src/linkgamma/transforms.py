@@ -15,7 +15,8 @@ Sequences without a short form are shifted entry by entry.  The swap is
 t -> 1/t on h, so :func:`swap_seq` substitutes into such a form, linear in
 the order, and falls back to the quadratic table without one.  A sequence
 that carries its form (see :class:`~linkgamma.gamma.GammaSeq`) is shifted
-through it without the search and the check.
+and swapped through it without the search and the check, and a form-free
+sequence keeps the form that either search found and checked.
 """
 
 from __future__ import annotations
@@ -65,8 +66,25 @@ def _product(a, b, order: int) -> list:
     return out
 
 
+def _inverse_steps(c, k: int) -> list:
+    """``(1+x)^-k c`` through c's length.  In the sign-alternated form
+    ``(-1)^i c[i]`` an inverse step is a prefix sum, so the signs are
+    flipped, k prefix sums taken, and flipped back."""
+    c = list(c)
+    c[1::2] = map(neg, c[1::2])
+    for _ in range(k):
+        c = list(accumulate(c))
+    c[1::2] = map(neg, c[1::2])
+    return c
+
+
 def _times_binomial(p, e: int, order: int) -> list:
-    """Coefficients 0..order of ``(1+x)^e p``, from the row's nonzero terms."""
+    """Coefficients 0..order of ``(1+x)^e p``, from the row's nonzero terms,
+    or for -3|p| <= e < 0 by -e inverse steps on p padded to the order,
+    one addition per entry each, against a product and an addition per
+    entry for each term of p: the two took equal time near -e = 4|p|."""
+    if -3 * len(p) <= e < 0:
+        return _inverse_steps([*p[: order + 1], *[0] * (order + 1 - len(p))], -e)
     return _product(p, _binomials(e, order + 1 if e < 0 else min(order, e) + 1), order)
 
 
@@ -97,8 +115,9 @@ def _lift(c) -> tuple[list[int], int]:
 
 def _carried_cost(form) -> int:
     """Counted work per entry of expanding a carried form ``(1+x)^f P/C``,
-    which holds by construction: a binomial row (5), the product by it
-    (2|P|) and the division by C (2|C| + 5), with no search and no check."""
+    which holds by construction or was checked when it was kept: a
+    binomial row (5), the product by it (2|P|) and the division by C
+    (2|C| + 5), with no search and no check."""
     num, den, _ = form
     return 2 * len(num) + 2 * len(den) + 10
 
@@ -250,9 +269,11 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     No result rests on the modular guess.  Without a form, |n| up to 4
     times the order takes the steps and larger |n| the binomial sum (the
     form C = 1, P = s), whose cost does not grow with n.  A forward step
-    adds the list to itself offset by one, and in the sign-alternated form
-    ``c[k] = (-1)^k s[k]`` an inverse step is a prefix sum, so the signs are
-    flipped, |n| prefix sums taken, and flipped back."""
+    adds the list to itself offset by one, and an inverse step is a prefix
+    sum of the sign-alternated list.
+
+    s keeps a form the search found, checked through its order, and a
+    later shift or swap of s takes it as carried; results carry none."""
     _require_int(n, "shift count n")
     if not any(s.entries):
         return GammaSeq._built(s.entries)
@@ -264,21 +285,19 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
         limit = min((fallback - 16) // 6,
                     isqrt((order + 1) * fallback // (6 * _MISS_SHARE)) - 1)
         form = _short_form(s, n, limit) if limit > 0 else None
+        if form:
+            s._keep(form)
     if form:
         num, den, e = form
         return GammaSeq._built(_series_quotient(_times_binomial(num, e + n, order), den, order))
     if abs(n) > _SHIFT_STEPS_PER_INDEX * order:
         return GammaSeq._built(_times_binomial(s.entries, n, order))
+    if n < 0:
+        return GammaSeq._built(_inverse_steps(s.entries, -n))
     entries = list(s.entries)
-    if n >= 0:
-        for _ in range(n):
-            # slice assignment consumes the map in full before it writes
-            entries[1:] = map(add, entries[1:], entries)
-    else:
-        entries[1::2] = map(neg, entries[1::2])
-        for _ in range(-n):
-            entries = list(accumulate(entries))
-        entries[1::2] = map(neg, entries[1::2])
+    for _ in range(n):
+        # slice assignment consumes the map in full before it writes
+        entries[1:] = map(add, entries[1:], entries)
     return GammaSeq._built(entries)
 
 
@@ -301,21 +320,28 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     ``mixed_gamma0(s, 0, k)``.  The transform is an involution.
 
     The rule is x -> -y/(1+y), t -> 1/t on h, so a form ``(1+x)^f P/C``
-    of s, found and checked as in :func:`apply_shift`, swaps to
-    ``(1+y)^(-f) P~/C~``, ``P~ = (1+y)^d P(-y/(1+y))`` and C~ likewise for
-    d >= deg P, deg C: about 2|C| products per entry.  Without one, a
-    forward-sum table (row 0 is ``s[1:]``, row m+1 adds row m to itself
-    offset by one, entry k is ``(-1)^k`` times the head of row k-1) takes
-    order^2/2 additions, and a miss at most 1/64 of them: no swap below
-    order 55 searches.
+    of s swaps to ``(1+y)^(-f) P~/C~``, ``P~ = (1+y)^d P(-y/(1+y))`` and C~
+    likewise for d >= deg P, deg C: about 2|C| products per entry.  Without
+    one, a forward-sum table (row 0 is ``s[1:]``, row m+1 adds row m to
+    itself offset by one, entry k is ``(-1)^k`` times the head of row k-1)
+    takes order^2/2 additions.  A form s carries is taken when its
+    expansion, counted as in :func:`apply_shift`, costs less than the
+    table's order/2 additions per entry.  Otherwise a form is searched for
+    and checked as in :func:`apply_shift`, and s keeps the form it finds;
+    a miss costs at most 1/64 of the table, so no swap below order 55
+    searches.
     """
     if not any(s.entries):
         return GammaSeq._built(s.entries)
     order = s.order
-    # a miss up to L terms costs 6 (L + 1)^2 operations, as in apply_shift
-    limit = isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1
-    search = _form_search(s.entries[: 2 * limit + 2], lambda m: s.entries[:m], 0, s, limit)
-    form = next(filter(None, search), None) if limit > 0 else None
+    form = s._form
+    if not (form and 2 * _carried_cost(form) < order):
+        # a miss up to L terms costs 6 (L + 1)^2 operations, as in apply_shift
+        limit = isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1
+        search = _form_search(s.entries[: 2 * limit + 2], lambda m: s.entries[:m], 0, s, limit)
+        form = next(filter(None, search), None) if limit > 0 else None
+        if form and not s._form:
+            s._keep(form)
     if form:
         num, den, f = form
         d = max([len(den) - 1] + [i for i, v in enumerate(num) if v])

@@ -9,6 +9,8 @@ same result on a sequence and on its form-free copy
 import copy
 import pickle
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -95,22 +97,25 @@ def test_shift_swap_and_canonical_form_ignore_a_carried_form(s, data):
 @settings(max_examples=60, deadline=None)
 @given(s=gamma_sequences(), m=st.integers(-500, 500), seed=st.integers(0, 10**6))
 def test_equivalence_ignores_a_carried_form(s, m, seed):
-    plain = GammaSeq(s.entries)
-    shifted = GammaSeq(binomial_shift(s.entries, m))
+    # each call on form-free copies, since an equivalent verdict leaves one
+    # side keeping the other's form
+    shifted = binomial_shift(s.entries, m)
     rng = random.Random(seed)
     j = rng.randrange(s.order + 1)
-    raised = GammaSeq(s.entries[:j] + (s.entries[j] + rng.randint(1, 9),) + s.entries[j + 1:])
-    bumped = GammaSeq(shifted.entries[:j] + (shifted.entries[j] + 1,) + shifted.entries[j + 1:])
-    for other in (shifted, raised, bumped, apply_shift(s, m)):
-        assert are_equivalent(s, other) == are_equivalent(plain, other)
-        assert are_equivalent(other, s) == are_equivalent(other, plain)
+    raised = s.entries[:j] + (s.entries[j] + rng.randint(1, 9),) + s.entries[j + 1:]
+    bumped = shifted[:j] + (shifted[j] + 1,) + shifted[j + 1:]
+    for other in (shifted, raised, bumped, apply_shift(s, m).entries):
+        assert are_equivalent(s, GammaSeq(other)) == are_equivalent(GammaSeq(s.entries),
+                                                                    GammaSeq(other))
+        assert are_equivalent(GammaSeq(other), s) == are_equivalent(GammaSeq(other),
+                                                                    GammaSeq(s.entries))
     lead = next((k for k, e in enumerate(s.entries) if e), None)
     if lead is not None and lead + 1 < j:
-        assert are_equivalent(s, raised) == EquivVerdict.distinct(j)
-        assert are_equivalent(s, bumped) == EquivVerdict.distinct(j)
-        assert are_equivalent(bumped, s) == EquivVerdict.distinct(j)
+        assert are_equivalent(s, GammaSeq(raised)) == EquivVerdict.distinct(j)
+        assert are_equivalent(s, GammaSeq(bumped)) == EquivVerdict.distinct(j)
+        assert are_equivalent(GammaSeq(bumped), s) == EquivVerdict.distinct(j)
     if lead is not None and lead < s.order:
-        assert are_equivalent(s, shifted) == EquivVerdict.equivalent(m)
+        assert are_equivalent(s, GammaSeq(shifted)) == EquivVerdict.equivalent(m)
         assert are_equivalent(apply_shift(s, m), s) == EquivVerdict.equivalent(-m)
 
 
@@ -130,27 +135,159 @@ def test_a_carried_form_takes_the_place_of_the_search(monkeypatch):
     monkeypatch.setattr(transforms, "_form_search", searching)
     monkeypatch.setattr(equivalence, "apply_shift", shifting)
     s = gamma_seq(gen_presentation(1, 3, 3), 300)  # genus 3: P and C of 7 terms
-    plain = GammaSeq(s.entries)
+    num, den, _ = s._form
     assert s.entries[0] and _carried_cost(s._form) == 38
     for n in (-300, -39, -38, -1, 0, 1, 38, 39, 1201):
         assert apply_shift(s, n).entries == binomial_shift(s.entries, n)
     assert searches == []
+    # a form-free copy searches once and keeps the form it found, which its
+    # later shifts, swaps and canonical form read
+    plain = GammaSeq(s.entries)
     apply_shift(plain, 300)
-    assert searches  # the form-free copy searches
-    # are_equivalent shifts the sequence that carries a form, a prefix of
-    # it first and then the whole
-    for n in (-300, -35, 35, 300):
-        copy_ = GammaSeq(binomial_shift(s.entries, n))
-        shifts.clear()
-        assert are_equivalent(s, copy_) == EquivVerdict.equivalent(n)
-        assert are_equivalent(copy_, s) == EquivVerdict.equivalent(-n)
-        assert are_equivalent(plain, copy_) == EquivVerdict.equivalent(n)
-        assert shifts == [(True, n)] * 4 + [(False, n)] * 2
-    # no argument gains a form
+    assert searches and plain._form is not None
+    searches.clear()
     for n in (-300, 300):
-        apply_shift(plain, n)
-        canonicalize(plain)
-        swap_seq(plain)
-        are_equivalent(plain, s)
-        are_equivalent(s, plain)
-        assert plain._form is None
+        assert apply_shift(plain, n).entries == binomial_shift(s.entries, n)
+    assert swap_seq(plain) == swap_seq(s)
+    assert canonicalize(plain) == canonicalize(s)
+    assert searches == []
+    # are_equivalent shifts the sequence that carries a form, a prefix of
+    # it first and then the whole, and the form-free side keeps (P, C, n)
+    for n in (-300, -35, 35, 300):
+        for carried_first in (True, False):
+            copy_ = GammaSeq(binomial_shift(s.entries, n))
+            shifts.clear()
+            if carried_first:
+                assert are_equivalent(s, copy_) == EquivVerdict.equivalent(n)
+            else:
+                assert are_equivalent(copy_, s) == EquivVerdict.equivalent(-n)
+            assert shifts == [(True, n)] * 2
+            assert copy_._form == (num, den, n)
+        # when neither side carries a form the first is shifted, and
+        # neither keeps one
+        a, b = GammaSeq(s.entries), GammaSeq(binomial_shift(s.entries, n))
+        shifts.clear()
+        assert are_equivalent(a, b) == EquivVerdict.equivalent(n)
+        assert shifts == [(False, n)] * 2
+        assert a._form is None and b._form is None
+    # a distinct verdict keeps nothing
+    bumped = GammaSeq(binomial_shift(s.entries, 35)[:-1] + (0,))
+    assert are_equivalent(s, bumped).kind == equivalence.DISTINCT
+    assert bumped._form is None
+
+
+def pool_of(s, m, seed):
+    # s, and form-free copies of it: as it is, shifted by m, with 1 or -1
+    # added to every entry (each the same, which leaves a short form, or
+    # each drawn, which leaves none) and to the last alone; and zeros
+    rng = random.Random(seed)
+    c = rng.choice((-1, 1))
+    return [s, GammaSeq(s.entries), GammaSeq(binomial_shift(s.entries, m)),
+            GammaSeq(tuple(e + c for e in s.entries)),
+            GammaSeq(tuple(e + rng.choice((-1, 1)) for e in s.entries)),
+            GammaSeq(s.entries[:-1] + (s.entries[-1] + c,)),
+            GammaSeq((0,) * (s.order + 1))]
+
+
+def _leading(s):
+    return next((k for k, e in enumerate(s.entries) if e), s.order)
+
+
+@st.composite
+def form_free_pools(draw):
+    s = draw(gamma_sequences())
+    return pool_of(s, draw(st.integers(-s.order, s.order)), draw(st.integers(0, 10**6)))
+
+
+@st.composite
+def chains(draw):
+    # operations on members of the pool, with shifts on both sides of the
+    # searches' switches and far past them
+    step = st.tuples(st.sampled_from(["equiv", "shift", "swap", "canon"]),
+                     st.integers(0, 6), st.integers(0, 6),
+                     st.one_of(st.integers(-700, 700),
+                               st.sampled_from([-400, -300, -100, 60, 200, 300, 1700])))
+    return draw(st.lists(step, min_size=2, max_size=8))
+
+
+@contextmanager
+def found_forms():
+    # what each search found: apply_shift's (_short_form) and swap_seq's
+    # (_form_search), None for a miss
+    found = {"shift": [], "swap": []}
+
+    def short_form(*args):
+        form = short_form_(*args)
+        found["shift"].append(form)
+        return form
+
+    def form_search(*args):
+        found["swap"].append(None)
+        for form in form_search_(*args):
+            if form:
+                found["swap"][-1] = form
+            yield form
+
+    short_form_, form_search_ = transforms._short_form, transforms._form_search
+    with mock.patch.object(transforms, "_short_form", short_form), \
+            mock.patch.object(transforms, "_form_search", form_search):
+        yield found
+
+
+def assert_exact_form(s):
+    if s._form is not None:
+        num, den, f = s._form
+        assert den[0] == 1
+        assert _series_quotient(transforms._times_binomial(num, f, s.order), den,
+                                s.order) == list(s.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=form_free_pools(), steps=chains())
+# each site that keeps a form, then each that must keep none: an equivalent
+# verdict on T^40 s, the shift's search, the swap's search on s + c, a
+# canonical form through a kept form, a swap's miss, distinct verdicts at
+# entry 0 and at the last, and zeros
+@example(pool=pool_of(gamma_seq(gen_presentation(1, 2, 3), 300), 40, 0),
+         steps=[("equiv", 0, 2, 0), ("shift", 1, 0, 300), ("swap", 3, 0, 0),
+                ("canon", 2, 0, 0), ("swap", 4, 0, 0), ("equiv", 4, 1, 0),
+                ("equiv", 0, 5, 0), ("shift", 6, 0, 300), ("swap", 6, 0, 0)])
+def test_a_kept_form_is_exact_and_only_a_proved_one_is_kept(pool, steps):
+    plain = [GammaSeq(s.entries) for s in pool]
+    for op, i, j, n in steps:
+        a, b = pool[i], pool[j]
+        before = a._form, b._form
+        fresh_a, fresh_b = GammaSeq(a.entries), GammaSeq(b.entries)
+        if op == "equiv":
+            verdict = are_equivalent(a, b)
+            assert verdict == are_equivalent(fresh_a, fresh_b)
+            # only an equivalent verdict keeps a form, on the form-free side,
+            # and only when the other side carries one
+            for x, y, x_before, y_before in ((a, b, *before), (b, a, *before[::-1])):
+                if x_before is None and x is not y:
+                    proved = verdict.kind == equivalence.EQUIVALENT and y_before is not None
+                    compared = _leading(x) < x.order
+                    assert (x._form is not None) == (proved and compared)
+        else:
+            call = {"shift": lambda s: apply_shift(s, n), "swap": swap_seq,
+                    "canon": canonicalize}[op]
+            with found_forms() as found:
+                result = call(a)
+            searched = found["swap" if op == "swap" else "shift"]
+            assert len(searched) <= 1
+            assert result == call(fresh_a)
+            if op != "canon":
+                assert result._form is None  # results carry no form
+            # a sequence keeps what its search found, and a miss keeps nothing
+            if before[0] is None:
+                assert (a._form is not None) == bool(searched and searched[0])
+            else:
+                assert a._form == before[0]
+        for s in pool:
+            assert_exact_form(s)
+    assert pool[-1]._form is None  # the zeros
+    for s, p in zip(pool, plain):
+        assert s == p and not s != p
+        assert hash(s) == hash(p) and repr(s) == repr(p)
+        clone = pickle.loads(pickle.dumps(s))
+        assert clone == s and clone._form is None

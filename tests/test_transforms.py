@@ -78,6 +78,18 @@ def test_binomial_rows_match_comb():
                                                       for j in range(size)]
 
 
+@settings(deadline=None)
+@given(p=st.lists(st.integers(-2**300, 2**300), min_size=1, max_size=40),
+       data=st.data(), order=st.integers(0, 120))
+@example(p=[1, 2, 3], data=None, order=1)  # p longer than the truncation
+def test_a_short_numerator_times_a_negative_power_matches_the_row(p, data, order):
+    # for -3|p| <= e < 0 the product with the row of order + 1 binomials is
+    # taken as -e inverse steps on p padded to the order
+    e = data.draw(st.integers(-3 * len(p), -1)) if data else -9
+    row = transforms._product(p, transforms._binomials(e, order + 1), order)
+    assert transforms._times_binomial(p, e, order) == row
+
+
 def binomial_shift(e, n):
     # T^n multiplies the generating function by (1+x)^n
     row = [binom(n, j) for j in range(len(e))]
@@ -195,7 +207,7 @@ def test_shift_takes_each_route(monkeypatch):
             yield form
 
     def times_binomial(p, e, order):
-        if p is seq.entries:
+        if p is fresh.entries:
             routes.append("sum")
         return times_binomial_(p, e, order)
 
@@ -227,9 +239,16 @@ def test_shift_takes_each_route(monkeypatch):
         (s, 21, []),  # no search pays: the steps
     ]
     for seq, n, found in cases:
+        fresh = GammaSeq(seq.entries)  # form-free on each call, as a file reads
         routes.clear()
-        assert apply_shift(seq, n).entries == binomial_shift(seq.entries, n)
+        assert apply_shift(fresh, n).entries == binomial_shift(seq.entries, n)
         assert routes == found
+        # the copy keeps a form its search found, and a second shift reads it
+        kept = "tail" in found or "result" in found
+        assert (fresh._form is not None) == kept
+        routes.clear()
+        assert apply_shift(fresh, n).entries == binomial_shift(seq.entries, n)
+        assert routes == ([] if kept else found)
 
 
 def test_a_miss_costs_a_small_share_of_the_fallback(monkeypatch):
@@ -302,11 +321,12 @@ def test_a_leading_zero_pays_no_check_of_the_zero_form(monkeypatch):
     monkeypatch.setattr(transforms, "_mismatch", recording)
     p = gen_presentation(20, 3, 3)
     pres = SeifertPresentation(3, p.seifert_matrix, p.v2, p.v3, 0)
-    s = GammaSeq(gamma_seq(pres, 1000).entries)  # form-free, so the shift searches
-    assert s.entries[0] == 0 and s.entries[1] != 0
+    entries = gamma_seq(pres, 1000).entries
+    assert entries[0] == 0 and entries[1] != 0
     for n in (-22, -31, 22, 31, 60):
         checks.clear()
-        assert apply_shift(s, n).entries == stepped(s.entries, n)
+        s = GammaSeq(entries)  # form-free on each call, so the shift searches
+        assert apply_shift(s, n).entries == stepped(entries, n)
         assert [upto for num, upto in checks if not num] == []
 
 
@@ -406,8 +426,10 @@ def form_free_copies(draw):
 def test_form_free_copies_shift_and_canonicalize_as_the_steps(case):
     copy, n = case
     assert apply_shift(copy, n).entries == binomial_shift(copy.entries, n)
+    # through a form the shift kept, if it found one, and on a fresh copy
     rep, c = canonicalize(copy)
     assert rep.entries == binomial_shift(copy.entries, c)
+    assert canonicalize(GammaSeq(copy.entries)) == (rep, c)
     k = next((i for i, e in enumerate(copy.entries) if e), copy.order)
     assert k == copy.order or 0 <= rep.entries[k + 1] < abs(copy.entries[k])
 
@@ -536,6 +558,7 @@ def test_swap_takes_each_route(monkeypatch):
     genus_1 = gamma_seq(gen_presentation(1, 1, 3), 300)  # a form of 3 terms
     genus_4 = gamma_seq(gen_presentation(0, 4, 3), 300)  # a form of 9 terms
     noise = random.Random(3)
+    # each call on a form-free copy: the search
     cases = [
         (genus_4, ["search", 0]),
         (GammaSeq(genus_1.entries[:112]), ["search", 0]),  # the first order that can
@@ -548,6 +571,28 @@ def test_swap_takes_each_route(monkeypatch):
         (GammaSeq(genus_4.entries[:31]), []),
     ]
     for seq, found in cases:
+        fresh = GammaSeq(seq.entries)
+        routes.clear()
+        assert swap_seq(fresh).entries == pascal_swap(seq.entries)
+        assert routes == found
+        # the copy keeps a form its search found, and a second swap reads it
+        assert (fresh._form is not None) == (len(found) == 2)
+        routes.clear()
+        assert swap_seq(fresh).entries == pascal_swap(seq.entries)
+        assert routes == ([] if len(found) == 2 else found)
+    # a carried form costs 2|P| + 2|C| + 10 per entry, 22 at genus 1 and 46
+    # at genus 4: below the table's order/2 it is reflected ("form") in
+    # place of the search, and otherwise the search runs as without it
+    reflect = transforms._reflect
+    monkeypatch.setattr(transforms, "_reflect", lambda p, d: routes.append("form") or reflect(p, d))
+    for seq, found in [
+        (genus_4, ["form"] * 2),
+        (genus_1, ["form"] * 2),
+        (GammaSeq._built(genus_1.entries[:46], genus_1._form), ["form"] * 2),  # 22 < 45/2
+        (GammaSeq._built(genus_1.entries[:45], genus_1._form), []),  # 22 = 44/2: the table
+        (GammaSeq._built(genus_4.entries[:93], genus_4._form), ["search"]),  # 46 = 92/2
+        (GammaSeq._built(genus_4.entries[:94], genus_4._form), ["form"] * 2),  # 46 < 93/2
+    ]:
         routes.clear()
         assert swap_seq(seq).entries == pascal_swap(seq.entries)
         assert routes == found
@@ -601,9 +646,20 @@ def swap_with_forms_found(monkeypatch, s):
 
 
 def table_swap(monkeypatch, s):
-    # swap_seq(s) with its search disabled: the forward-sum table
+    # the swap of a form-free copy of s with its search disabled: the
+    # forward-sum table
     with monkeypatch.context() as m:
         m.setattr(transforms, "_form_search", lambda *args: iter(()))
+        return swap_seq(GammaSeq(s.entries))
+
+
+def unsearched_swap(monkeypatch, s):
+    # swap_seq(s), failing if it runs the search
+    def searching(*args):
+        raise AssertionError("the swap searched")
+
+    with monkeypatch.context() as m:
+        m.setattr(transforms, "_form_search", searching)
         return swap_seq(s)
 
 
@@ -629,28 +685,33 @@ def test_swap_through_forms_at_genus_nine_and_ten(monkeypatch, genus):
     order = least_swap_order(2 * genus + 1)
     assert genus != 9 or order == 554
     s = gamma_seq(gen_presentation(0, genus, 3), order)
-    swapped, found = swap_with_forms_found(monkeypatch, s)
+    swapped, found = swap_with_forms_found(monkeypatch, GammaSeq(s.entries))
     assert len(found) == 1
     assert swapped == table_swap(monkeypatch, s)
     for k in (1, order // 2, order):
         assert swapped.entries[k] == mixed_gamma0(s, 0, k)
+    # the carried form takes the place of the search
+    assert unsearched_swap(monkeypatch, s) == swapped
     back, found = swap_with_forms_found(monkeypatch, swapped)
     assert len(found) == 1 and back == s
 
 
 def test_swap_at_genus_twelve_takes_the_table(monkeypatch):
     # a coefficient of charpoly here passes the symmetric range of
-    # p = 2^61 - 1 that transforms._lift assumes, so the one proposal fails
-    # its exact check
+    # p = 2^61 - 1 that transforms._lift assumes, so on a form-free copy the
+    # one proposal fails its exact check, and the copy keeps no form
     order = least_swap_order(25)
     p = prepare(gen_presentation(0, 12, 3))
     assert max(map(abs, charpoly(p._prepared[1]))) > transforms._P // 2
     s = gamma_seq(p, order)
-    swapped, found = swap_with_forms_found(monkeypatch, s)
-    assert found == []
+    plain = GammaSeq(s.entries)
+    swapped, found = swap_with_forms_found(monkeypatch, plain)
+    assert found == [] and plain._form is None
     assert swapped == table_swap(monkeypatch, s)
     for k in (1, order // 2, order):
         assert swapped.entries[k] == mixed_gamma0(s, 0, k)
+    # the carried form is never lifted: it swaps with no search
+    assert unsearched_swap(monkeypatch, s) == swapped
 
 
 @given(s=sequences(60))
