@@ -7,6 +7,13 @@ power of t.  Both directions of the shift are admitted (the operator is a
 bijection on sequences); a negative step is a plain prefix sum of the
 sign-alternated sequence ``(-1)^k s[k]``.
 
+When both sequences carry a form ``(1+x)^e P/C`` (see
+:class:`~linkgamma.gamma.GammaSeq`), T^n a and b first differ where the
+polynomial ``(1+x)^d P_a C_b - P_b C_a``, d = e_a + n - e_b, first has a
+nonzero coefficient, so :func:`are_equivalent` reads its verdict off the two
+forms: an equivalent pair costs about (|P| + |C|)^2 products, whatever the
+order.
+
 A pair of identically zero truncations is reported as *indeterminate*, not
 equivalent: a truncation cannot distinguish the zero class from a class
 whose support starts beyond the truncation order, and no false
@@ -20,14 +27,14 @@ from operator import ne
 
 from .exactnum import RatFn
 from .gamma import GammaSeq, Record
-from .transforms import apply_shift
+from .transforms import _product, _times_binomial, apply_shift
 
 EQUIVALENT = "equivalent"
 DISTINCT = "distinct"
 INDETERMINATE = "indeterminate"
 
 # are_equivalent compares this many entries past the leading index before
-# it shifts the whole sequence
+# it shifts the whole sequence, or expands a difference of forms further
 _PREFIX = 16
 
 
@@ -73,17 +80,56 @@ def _first_nonzero(entries):
     return None
 
 
+def _form_mismatch(form_a, form_b, n: int, k: int, order: int):
+    """The first index up to ``order`` where ``T^n a`` and b differ, read
+    off their forms ``(P_a, C_a, e_a)`` and ``(P_b, C_b, e_b)``, or None.
+    The two agree through index k + 1.
+
+    T^n a - b is ``(1+x)^min(e_a + n, e_b) ((1+x)^d U - V) / (C_a C_b)``
+    with ``d = e_a + n - e_b``, ``U = P_a C_b`` and ``V = P_b C_a`` (the
+    two exchanged when d < 0), so its valuation is that of
+    ``(1+x)^d U - V``, a polynomial of degree at most ``d + |U| - 1`` or
+    ``|V| - 1``.  It is read on a truncation that ends at k + _PREFIX and
+    doubles up to the order or that degree."""
+    (pa, ca, ea), (pb, cb, eb) = form_a, form_b
+    d = ea + n - eb
+    u = _product(pa, cb, len(pa) + len(cb) - 2)
+    v = _product(pb, ca, len(pb) + len(ca) - 2)
+    if d < 0:
+        u, v, d = v, u, -d
+    end = min(order, max(d + len(u), len(v)) - 1)
+    upto = k + _PREFIX
+    while True:
+        upto = min(upto, end)
+        pairs = map(ne, _times_binomial(u, d, upto), v[: upto + 1] + [0] * (upto + 1 - len(v)))
+        w = next(compress(count(), pairs), None)
+        if w is not None or upto == end:
+            return w
+        upto *= 2
+
+
 def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
     """Decide whether two equal-order truncations lie in the same class
     modulo the shift action.
 
     The leading index and leading value are shift-invariant, and the entry
     one past the leading index moves by (shift exponent) * (leading value),
-    which pins the only candidate exponent; the remaining entries are then
-    compared outright, after shifting whichever sequence carries a form
-    (see :func:`~linkgamma.transforms.apply_shift`).  That comparison
-    through the order proves an equivalent form-free side equal to T^m of
-    the side that carries ``(P, C, e)``, so it keeps ``(P, C, e + m)``.
+    which pins the only candidate exponent n.
+
+    When both sides carry a form, the verdict is read off the two forms,
+    with no shift: the first difference of T^n a and b is the valuation of
+    ``(1+x)^d P_a C_b - P_b C_a``, found on truncations that double from
+    16 entries past the leading index.  That polynomial has degree below
+    d + |P| + |C|, so an equivalent pair costs about (|P| + |C|)^2
+    products and a pair that first differs at index w about
+    2 w (|P| + |C|), at any order.
+
+    Otherwise the remaining entries are compared outright, after shifting
+    whichever sequence carries a form, or the first when neither does (see
+    :func:`~linkgamma.transforms.apply_shift`), a 16-entry prefix first.
+    The shifted sequence keeps a form its shift's search finds, and the
+    comparison through the order proves an equivalent form-free side equal
+    to T^m of the side with ``(P, C, e)``, so it keeps ``(P, C, e + m)``.
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
@@ -105,12 +151,17 @@ def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
     if diff % lead:
         return EquivVerdict.distinct(k + 1)
     n = diff // lead
+    if a._form and b._form:
+        w = _form_mismatch(a._form, b._form, n, k, a.order)
+        return EquivVerdict.equivalent(n) if w is None else EquivVerdict.distinct(w)
     # T^-n is unitriangular, so a - T^-n b first differs where T^n a - b does
-    src, m, other = (b, -n, a) if b._form and not a._form else (a, n, b)
+    src, m, other = (b, -n, a) if b._form else (a, n, b)
     # entry i of a shift reads entries up to i, so a prefix shows a
-    # difference near the front without shifting the whole sequence
+    # difference near the front without shifting the whole sequence; the
+    # whole is src itself, which keeps the form its shift's search finds
     for upto in sorted({min(a.order, k + _PREFIX), a.order}):
-        shifted = apply_shift(GammaSeq._built(src.entries[: upto + 1], src._form), m).entries
+        part = src if upto == a.order else GammaSeq._built(src.entries[: upto + 1], src._form)
+        shifted = apply_shift(part, m).entries
         if shifted[k + 1 :] != other.entries[k + 1 : upto + 1]:
             pairs = map(ne, shifted[k + 1 :], other.entries[k + 1 :])
             return EquivVerdict.distinct(next(compress(count(k + 1), pairs)))

@@ -10,6 +10,8 @@ import copy
 import pickle
 import random
 from contextlib import contextmanager
+from math import comb
+from operator import add
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -163,13 +165,20 @@ def test_a_carried_form_takes_the_place_of_the_search(monkeypatch):
                 assert are_equivalent(copy_, s) == EquivVerdict.equivalent(-n)
             assert shifts == [(True, n)] * 2
             assert copy_._form == (num, den, n)
-        # when neither side carries a form the first is shifted, and
-        # neither keeps one
+        # when neither side carries a form the first is shifted, a prefix
+        # copy and then the sequence itself, which keeps the form its
+        # search finds; the search is limited to 3 terms at |n| = 35, too
+        # few for these 7, and the second side keeps the first's form
+        # moved by n
         a, b = GammaSeq(s.entries), GammaSeq(binomial_shift(s.entries, n))
         shifts.clear()
         assert are_equivalent(a, b) == EquivVerdict.equivalent(n)
         assert shifts == [(False, n)] * 2
-        assert a._form is None and b._form is None
+        if abs(n) == 35:
+            assert a._form is None and b._form is None
+        else:
+            kept_num, kept_den, f = a._form
+            assert b._form == (kept_num, kept_den, f + n)
     # a distinct verdict keeps nothing
     bumped = GammaSeq(binomial_shift(s.entries, 35)[:-1] + (0,))
     assert are_equivalent(s, bumped).kind == equivalence.DISTINCT
@@ -212,20 +221,20 @@ def chains(draw):
 
 @contextmanager
 def found_forms():
-    # what each search found: apply_shift's (_short_form) and swap_seq's
-    # (_form_search), None for a miss
+    # the sequence each search read and what it found: apply_shift's
+    # (_short_form) and swap_seq's (_form_search), None for a miss
     found = {"shift": [], "swap": []}
 
     def short_form(*args):
         form = short_form_(*args)
-        found["shift"].append(form)
+        found["shift"].append((args[0], form))
         return form
 
     def form_search(*args):
-        found["swap"].append(None)
+        found["swap"].append((args[3], None))
         for form in form_search_(*args):
             if form:
-                found["swap"][-1] = form
+                found["swap"][-1] = (args[3], form)
             yield form
 
     short_form_, form_search_ = transforms._short_form, transforms._form_search
@@ -252,6 +261,12 @@ def assert_exact_form(s):
          steps=[("equiv", 0, 2, 0), ("shift", 1, 0, 300), ("swap", 3, 0, 0),
                 ("canon", 2, 0, 0), ("swap", 4, 0, 0), ("equiv", 4, 1, 0),
                 ("equiv", 0, 5, 0), ("shift", 6, 0, 300), ("swap", 6, 0, 0)])
+# two form-free sides: the first keeps the form its shift's search finds
+# (at n = 60 a limit of 5 lets the tail search take |P| + |C| up to 7, and
+# this form has 3 + 3) and the second keeps it moved by 60; then a verdict
+# read off both kept forms, and a distinct one at the last entry
+@example(pool=pool_of(gamma_seq(gen_presentation(1, 1, 3), 300), 60, 0),
+         steps=[("equiv", 1, 2, 0), ("equiv", 2, 1, 0), ("equiv", 1, 5, 0)])
 def test_a_kept_form_is_exact_and_only_a_proved_one_is_kept(pool, steps):
     plain = [GammaSeq(s.entries) for s in pool]
     for op, i, j, n in steps:
@@ -259,21 +274,27 @@ def test_a_kept_form_is_exact_and_only_a_proved_one_is_kept(pool, steps):
         before = a._form, b._form
         fresh_a, fresh_b = GammaSeq(a.entries), GammaSeq(b.entries)
         if op == "equiv":
-            verdict = are_equivalent(a, b)
+            with found_forms() as found:
+                verdict = are_equivalent(a, b)
             assert verdict == are_equivalent(fresh_a, fresh_b)
-            # only an equivalent verdict keeps a form, on the form-free side,
-            # and only when the other side carries one
-            for x, y, x_before, y_before in ((a, b, *before), (b, a, *before[::-1])):
+            # a form-free side keeps what the search of its own shift found,
+            # or, on an equivalent verdict, the form the other side has
+            # after the call; a side with a form keeps it
+            for x, y, x_before in ((a, b, before[0]), (b, a, before[1])):
                 if x_before is None and x is not y:
-                    proved = verdict.kind == equivalence.EQUIVALENT and y_before is not None
+                    searched = any(form for s, form in found["shift"] if s is x)
+                    proved = verdict.kind == equivalence.EQUIVALENT and y._form is not None
                     compared = _leading(x) < x.order
-                    assert (x._form is not None) == (proved and compared)
+                    assert (x._form is not None) == (searched or (proved and compared))
+                elif x_before is not None:
+                    assert x._form == x_before
         else:
             call = {"shift": lambda s: apply_shift(s, n), "swap": swap_seq,
                     "canon": canonicalize}[op]
             with found_forms() as found:
                 result = call(a)
-            searched = found["swap" if op == "swap" else "shift"]
+            searched = [form for s, form in found["swap" if op == "swap" else "shift"]
+                        if s is a]
             assert len(searched) <= 1
             assert result == call(fresh_a)
             if op != "canon":
@@ -291,3 +312,114 @@ def test_a_kept_form_is_exact_and_only_a_proved_one_is_kept(pool, steps):
         assert hash(s) == hash(p) and repr(s) == repr(p)
         clone = pickle.loads(pickle.dumps(s))
         assert clone == s and clone._form is None
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def rewritten(form, j=0, q=(1,), past=None):
+    # the form written another way: (P (1+x)^j, C, f - j), then P and C
+    # both times q (q[0] == 1), which keep its expansion; then x^past C
+    # added to P, which adds (1+x)^f x^past to it
+    num, den, f = form
+    num = poly_mul(num, [comb(j, i) for i in range(j + 1)])
+    num, den = poly_mul(num, q), poly_mul(den, q)
+    if past is not None:
+        num = [*num, *[0] * (past + len(den) - len(num))]
+        num[past : past + len(den)] = map(add, num[past : past + len(den)], den)
+    return num, den, f - j
+
+
+def formed(p, order):
+    # gamma_seq(p, order) carrying its form, which below the recurrence
+    # switch is read off the sequence at the switch
+    s = gamma_seq(p, order)
+    return s if s._form else GammaSeq._built(
+        s.entries, gamma_seq(p, recurrence_switch(p.genus))._form)
+
+
+def form_verdict(a, b):
+    # both directions read off the two forms, with no shift, and each the
+    # verdict of the same call on form-free copies
+    assert a._form and b._form
+    with mock.patch.object(equivalence, "apply_shift", side_effect=AssertionError):
+        verdicts = are_equivalent(a, b), are_equivalent(b, a)
+    plain_a, plain_b = GammaSeq(a.entries), GammaSeq(b.entries)
+    assert verdicts == (are_equivalent(plain_a, plain_b), are_equivalent(plain_b, plain_a))
+    return verdicts[0]
+
+
+rewrites = st.tuples(st.integers(0, 4),
+                     st.sampled_from([(1,), (1, -2), (1, 1), (1, 3, -1)]),
+                     st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(genus=st.sampled_from(range(1, 9)), seed=st.integers(0, 10**6), data=st.data())
+def test_a_verdict_read_off_two_forms_is_the_shift_routes(genus, seed, data):
+    order = data.draw(st.sampled_from(range(4 * genus + 2, 1001)))
+    s = formed(gen_presentation(seed, genus, 3), order)
+    if data.draw(st.booleans()):
+        # T^m of s, or of s plus x^j, whose form (P + x^j C, C, m) a
+        # form-free copy keeps from an equivalent verdict against one that
+        # carries it
+        m = data.draw(st.one_of(st.integers(-60, 60),
+                                st.sampled_from(range(-3 * order, 3 * order + 1))))
+        j = data.draw(st.one_of(st.none(), st.sampled_from(range(order + 1))))
+        num, den, _ = rewritten(s._form, past=j)
+        source = GammaSeq._built(_series_quotient(num, den, order), (num, den, 0))
+        other = GammaSeq(apply_shift(source, m).entries)
+        are_equivalent(source, other)
+        if other._form is None:  # a leading index at the order: nothing compared
+            other._keep((num, den, m))
+        k = _leading(s)
+        if j is None:
+            want = EquivVerdict.equivalent(m) if k < order else None
+        else:
+            want = EquivVerdict.distinct(j) if k + 1 < j else None
+    else:
+        # another presentation's sequence
+        other = formed(gen_presentation(data.draw(st.integers(0, 10**6)),
+                                        data.draw(st.sampled_from(range(1, 9))), 3), order)
+        want = None
+    pair = []
+    for x in (s, other):
+        ones, q, past = data.draw(rewrites)
+        form = rewritten(x._form, ones, q, order + 1 if past else None)
+        pair.append(GammaSeq._built(x.entries, form))
+    verdict = form_verdict(*pair)
+    if want is not None:
+        assert verdict == want
+
+
+def test_verdicts_read_off_two_forms_at_the_edges():
+    s = formed(gen_presentation(4, 3, 3), 1000)
+    k = _leading(s)
+    form = s._form
+    assert k < 10 and s.entries[k]
+    # a difference just past the pinned entries, and at the last entry,
+    # each after T^m
+    for j in (k + 2, 1000):
+        for m in (-3000, -1, 0, 2, 700):
+            bumped = rewritten(form, past=j)
+            other = GammaSeq(apply_shift(GammaSeq(_series_quotient(*bumped[:2], 1000)), m).entries)
+            other._keep((*bumped[:2], m))
+            assert form_verdict(s, other) == EquivVerdict.distinct(j)
+    # forms that differ past the order, share a factor, or carry factors
+    # 1 + x that make d nonzero of either sign
+    num, den, f = rewritten(form, 3, (1, -2), 1001)
+    copy_ = GammaSeq._built(apply_shift(s, 35).entries, (num, den, f + 35))
+    assert form_verdict(s, copy_) == EquivVerdict.equivalent(35)
+    assert form_verdict(GammaSeq._built(s.entries, rewritten(form, 4)), copy_) == \
+        EquivVerdict.equivalent(35)
+    # b = 1 + 2x and a = (1+x)^-3 ((1+x)^3 b + x^4): d = -3, and the two
+    # first differ at the degree of (1+x)^3 b, past both P_a (1+x)^-3 and b
+    num = [1, 5, 9, 7, 3]
+    a = GammaSeq._built(binomial_shift(num + [0] * 6, -3), (num, (1,), -3))
+    b = GammaSeq._built((1, 2) + (0,) * 9, ((1, 2), (1,), 0))
+    assert form_verdict(a, b) == EquivVerdict.distinct(4)

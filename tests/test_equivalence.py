@@ -175,13 +175,23 @@ def test_a_difference_in_the_prefix_is_found_without_the_whole_shift(monkeypatch
 
     monkeypatch.setattr(equivalence, "apply_shift", shifting)
     a, b = scaled(6, 3, 1, 1000), scaled(6, 3, 3, 1000)
-    assert are_equivalent(a, b) == EquivVerdict.distinct(2)
+    assert a._form and b._form
+    # one side without a form: the carried form is shifted, a prefix first
+    assert are_equivalent(a, GammaSeq(b.entries)) == EquivVerdict.distinct(2)
     assert orders and max(orders) < 1000
     # a difference past the prefix: one shift of the prefix, one of the whole
-    bumped = GammaSeq(a.entries[:900] + (a.entries[900] + 1,) + a.entries[901:])
+    bumped = a.entries[:900] + (a.entries[900] + 1,) + a.entries[901:]
     orders.clear()
-    assert are_equivalent(a, bumped) == EquivVerdict.distinct(900)
+    assert are_equivalent(a, GammaSeq(bumped)) == EquivVerdict.distinct(900)
     assert len(orders) == 2 and orders[0] < orders[1] == 1000
+    # both sides with a form: the verdict is read off the two forms, with no
+    # shift; adding x^900 C to a gamma sequence's P adds x^900 to it
+    num, den, _ = a._form
+    bumped_form = ([*num, *[0] * (900 - len(num))] + list(den), den, 0)
+    orders.clear()
+    assert are_equivalent(a, b) == EquivVerdict.distinct(2)
+    assert are_equivalent(a, GammaSeq._built(bumped, bumped_form)) == EquivVerdict.distinct(900)
+    assert orders == []
 
 
 # --------------------------------------------------------------- canonicalize

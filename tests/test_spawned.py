@@ -16,6 +16,9 @@ import pytest
 import linkgamma
 from linkgamma.equivalence import are_equivalent
 from linkgamma.gamma import GammaSeq, SeifertPresentation, gamma_seq, gen_presentation
+from linkgamma.polylin import identity
+
+from test_alexander import congruent
 
 SRC = str(Path(linkgamma.__file__).resolve().parent.parent)
 TIMEOUT_S = 30
@@ -155,20 +158,31 @@ def test_an_order_1000_sequence_swapped_twice_reads_back(tmp_path):
 
 
 def test_equiv_at_order_1000_gives_the_verdict_of_form_free_copies(tmp_path):
-    # the command shifts through a sequence's carried form; are_equivalent
-    # here shifts copies that carry none
+    # both sequences the command computes carry their forms, so its verdict
+    # is read off the two forms; are_equivalent here shifts copies that
+    # carry none.  v3 tripled is a distinct class, and the presentation in
+    # a basis changed by three moves (q) an equivalent one
     base = gen_presentation(6, 3, 3)
     pres = [SeifertPresentation(3, base.seifert_matrix, base.v2, [k * e for e in base.v3], 1)
             for k in (1, 3)]
-    files = [presentation_file(tmp_path / f"v3-times-{k}.json", p) for k, p in zip((1, 3), pres)]
-    v = are_equivalent(*[GammaSeq(gamma_seq(p, 1000).entries) for p in pres])
-    fields = (("verdict", v.kind), ("shift", v.shift), ("witness_index", v.witness_index))
-    code = {"equivalent": 0, "distinct": 4}[v.kind]
-    plain = cli("equiv", "-n", "1000", *files)
-    machine = cli("--machine", "equiv", "-n", "1000", *files)
-    assert (plain.returncode, plain.stdout) == (code, f"{v}\n")
-    assert machine.returncode == code
-    assert json.loads(machine.stdout) == {k: x for k, x in fields if x is not None}
+    q = [list(row) for row in identity(6)]
+    q[0][3], q[2][5], q[4][4] = 1, -1, -1
+    pres.append(congruent(pres[0], q))
+    files = [presentation_file(tmp_path / f"{tag}.json", p)
+             for tag, p in zip(("base", "v3-times-3", "congruent"), pres)]
+    seqs = [GammaSeq(gamma_seq(p, 1000).entries) for p in pres]
+    verdicts = []
+    for other in (1, 2):
+        v = are_equivalent(seqs[0], seqs[other])
+        verdicts.append(str(v))
+        fields = (("verdict", v.kind), ("shift", v.shift), ("witness_index", v.witness_index))
+        code = {"equivalent": 0, "distinct": 4}[v.kind]
+        plain = cli("equiv", "-n", "1000", files[0], files[other])
+        machine = cli("--machine", "equiv", "-n", "1000", files[0], files[other])
+        assert (plain.returncode, plain.stdout) == (code, f"{v}\n")
+        assert machine.returncode == code
+        assert json.loads(machine.stdout) == {k: x for k, x in fields if x is not None}
+    assert verdicts == ["distinct(2)", "equivalent(0)"]
 
 
 def test_h_expansion_equals_the_gamma_sequence_at_genus_5(tmp_path):
