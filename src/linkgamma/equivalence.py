@@ -22,12 +22,9 @@ certificates are issued.
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import ne
-
 from .exactnum import RatFn
 from .gamma import GammaSeq, Record
-from .transforms import _product, _times_binomial, apply_shift
+from .transforms import _first_difference, _product, _times_binomial, apply_shift
 
 EQUIVALENT = "equivalent"
 DISTINCT = "distinct"
@@ -101,8 +98,8 @@ def _form_mismatch(form_a, form_b, n: int, k: int, order: int):
     upto = k + _PREFIX
     while True:
         upto = min(upto, end)
-        pairs = map(ne, _times_binomial(u, d, upto), v[: upto + 1] + [0] * (upto + 1 - len(v)))
-        w = next(compress(count(), pairs), None)
+        padded = v[: upto + 1] + [0] * (upto + 1 - len(v))
+        w = _first_difference(_times_binomial(u, d, upto), padded)
         if w is not None or upto == end:
             return w
         upto *= 2
@@ -163,8 +160,8 @@ def are_equivalent(a: GammaSeq, b: GammaSeq) -> EquivVerdict:
         part = src if upto == a.order else GammaSeq._built(src.entries[: upto + 1], src._form)
         shifted = apply_shift(part, m).entries
         if shifted[k + 1 :] != other.entries[k + 1 : upto + 1]:
-            pairs = map(ne, shifted[k + 1 :], other.entries[k + 1 :])
-            return EquivVerdict.distinct(next(compress(count(k + 1), pairs)))
+            return EquivVerdict.distinct(
+                _first_difference(shifted[k + 1 :], other.entries[k + 1 :], k + 1))
     if src._form and not other._form:
         num, den, e = src._form
         other._keep((num, den, e + m))

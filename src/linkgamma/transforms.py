@@ -7,16 +7,17 @@ sequence, and needs only entries up to the index it produces.  Operations
 fail loudly when the requested index exceeds the truncation order rather
 than returning a silently shortened sequence.
 
-The shift multiplies the generating function by ``1 + x``.  A gamma
-sequence, and every shifted copy of one, expands a short rational function
-(h at t = 1 + x), so :func:`apply_shift` shifts such a form, found by
-Berlekamp-Massey modulo a prime and checked exactly, instead of the entries.
-Sequences without a short form are shifted entry by entry.  The swap is
-t -> 1/t on h, so :func:`swap_seq` substitutes into such a form, linear in
-the order, and falls back to the quadratic table without one.  A sequence
-that carries its form (see :class:`~linkgamma.gamma.GammaSeq`) is shifted
-and swapped through it without the search and the check, and a form-free
-sequence keeps the form that either search found and checked.
+The shift multiplies the generating function by ``1 + x`` and the swap is
+t -> 1/t on h, so both act on a form ``(1+x)^f P/C`` of the sequence: a
+gamma sequence, and every shifted copy of one, expands a short rational
+function (h at t = 1 + x).  :func:`_take_form` decides once for both
+which form an operator expands: the one the sequence carries (see
+:class:`~linkgamma.gamma.GammaSeq`), with no search and no check, or one
+found by Berlekamp-Massey modulo a prime and checked exactly, which a
+form-free sequence keeps; or none, when the operator's own route counts
+less.  Without a form :func:`apply_shift` multiplies the entries by
+``(1+x)^n`` through :func:`_times_binomial`, the one kernel for that
+product, and :func:`swap_seq` takes the quadratic table.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from .exactnum import _P, _berlekamp_massey, _require_int, _series_quotient
 from .gamma import GammaSeq
 
 
-# Without a short form, above this many steps per index apply_shift takes the
-# binomial sum.  Timed on Python 3.11, the sum overtakes the steps at |n| of
-# 1.5 to 2 times the order at orders 8 to 300, and only at 6 to 8 times at
-# order 1000 with entries of ~2000 bits, where its binomials grow to
-# thousands of bits.
-_SHIFT_STEPS_PER_INDEX = 4
+# _times_binomial takes |e| steps of one addition per entry in place of a
+# product with the binomial row while they number at most this many per
+# product.  Timed on Python 3.11 on a 2-core Intel Xeon host, inverse
+# steps on a short numerator took as long as the product near |e| = 4|p|.
+_STEPS_PER_PRODUCT = 4
 
 # A search for a short form that finds none may cost at most this fraction
-# of the work it falls back to, counted as in apply_shift.
+# of the work it falls back to, counted as in _take_form.
 _MISS_SHARE = 64
 
 
@@ -66,26 +66,26 @@ def _product(a, b, order: int) -> list:
     return out
 
 
-def _inverse_steps(c, k: int) -> list:
-    """``(1+x)^-k c`` through c's length.  In the sign-alternated form
-    ``(-1)^i c[i]`` an inverse step is a prefix sum, so the signs are
-    flipped, k prefix sums taken, and flipped back."""
-    c = list(c)
-    c[1::2] = map(neg, c[1::2])
-    for _ in range(k):
-        c = list(accumulate(c))
-    c[1::2] = map(neg, c[1::2])
-    return c
-
-
 def _times_binomial(p, e: int, order: int) -> list:
-    """Coefficients 0..order of ``(1+x)^e p``, from the row's nonzero terms,
-    or for -3|p| <= e < 0 by -e inverse steps on p padded to the order,
-    one addition per entry each, against a product and an addition per
-    entry for each term of p: the two took equal time near -e = 4|p|."""
-    if -3 * len(p) <= e < 0:
-        return _inverse_steps([*p[: order + 1], *[0] * (order + 1 - len(p))], -e)
-    return _product(p, _binomials(e, order + 1 if e < 0 else min(order, e) + 1), order)
+    """Coefficients 0..order of ``(1+x)^e p``, by |e| steps on p padded to
+    the order, |e| (order + 1) additions, or by the product with the
+    binomial row, |p| products per term of the row, whichever counts less
+    with a product weighed as _STEPS_PER_PRODUCT steps.  A forward step
+    adds the list to itself offset by one; an inverse step is a prefix sum
+    of the sign-alternated list ``(-1)^i c[i]``."""
+    size = order + 1 if e < 0 else min(order, e) + 1
+    if abs(e) * (order + 1) > _STEPS_PER_PRODUCT * len(p) * size:
+        return _product(p, _binomials(e, size), order)
+    c = [*p[: order + 1], *[0] * (order + 1 - len(p))]
+    if e < 0:
+        c[1::2] = map(neg, c[1::2])
+        for _ in range(-e):
+            c = list(accumulate(c))
+        c[1::2] = map(neg, c[1::2])
+    for _ in range(e):
+        # slice assignment consumes the map in full before it writes
+        c[1:] = map(add, c[1:], c)
+    return c
 
 
 def _divide_out(c, red) -> tuple[list, int]:
@@ -122,11 +122,16 @@ def _carried_cost(form) -> int:
     return 2 * len(num) + 2 * len(den) + 10
 
 
+def _first_difference(a, b, start: int = 0):
+    """The first index, counted from ``start``, where lists a and b differ
+    within the shorter, or None."""
+    return next(compress(count(start), map(ne, a, b)), None)
+
+
 def _mismatch(num, den, e: int, s: GammaSeq, upto: int):
     """The first index up to ``upto`` where ``(1+x)^e num`` and ``den s``
     differ, or None."""
-    pairs = map(ne, _times_binomial(num, e, upto), _product(den, s.entries, upto))
-    return next(compress(count(), pairs), None)
+    return _first_difference(_times_binomial(num, e, upto), _product(den, s.entries, upto))
 
 
 def _form_search(head, first, e: int, s: GammaSeq, limit: int):
@@ -214,9 +219,16 @@ def _tail_search(s: GammaSeq, limit: int):
 
 
 def _short_form(s: GammaSeq, n: int, limit: int):
-    """``(P, C, e)`` from a search for a form of s from its last entries
-    and one of T^n s (e = -n) from its leading ones, run in step, so that a
-    form found early ends both, or None."""
+    """``(P, C, e)`` with at most ``limit`` terms in P, from two searches
+    run in step, so that a form found early ends both, or None:
+
+    - **A form of s, from its last entries** (:func:`_tail_search`), which
+      satisfy the recurrence C past the numerator however long that is.
+      Its check and expansion count 4|P| + 4|C| + 16 per entry.
+    - **A form of T^n s** (e = -n), from its leading entries by one
+      binomial row (:func:`_form_search`): 2|P| + 4|C| + 11 per entry.
+      This one finds the forms whose denominator is long (T^m s with
+      m < 0) or whose numerator fills the truncation."""
     # a search that has read 2 * limit + 2 entries has found its form or
     # passed the limit
     reach = min(s.order + 1, 2 * limit + 2)
@@ -231,6 +243,29 @@ def _short_form(s: GammaSeq, n: int, limit: int):
     return next((form for found in searches for form in found if form), None)
 
 
+def _take_form(s: GammaSeq, fallback: int, search):
+    """The form ``(P, C, f)`` an operator on s expands, or None when its
+    route without one, counting ``fallback`` per entry, costs less.  The
+    form s carries or kept is taken, with no search and no check, when its
+    expansion (:func:`_carried_cost`) counts less than the fallback, and a
+    dearer one leaves the fallback: a search could only find a shorter form
+    than one that is not reduced.  A form-free s is searched by
+    ``search(limit)`` for a form of at most ``limit`` terms in P, whose
+    check and expansion count at most 6L + 15 for L terms, while that
+    stays below the fallback and while a miss, which reads 2L + 2 entries
+    in about 6 (L + 1)^2 operations on residues, costs at most
+    1/_MISS_SHARE of the fallback through the order.  s keeps the form the
+    search found, checked through its order."""
+    if s._form:
+        return s._form if _carried_cost(s._form) < fallback else None
+    limit = min((fallback - 16) // 6,
+                isqrt((s.order + 1) * fallback // (6 * _MISS_SHARE)) - 1)
+    form = search(limit) if limit > 0 else None
+    if form:
+        s._keep(form)
+    return form
+
+
 def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     """Apply the shift-plus-identity operator n times (entry k becomes
     ``s[k] + s[k-1]``).  Negative n inverts: the operator is a bijection
@@ -238,67 +273,24 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     Entry k of the result depends only on entries up to k, so the
     truncation order is preserved.
 
-    T^n multiplies the generating function by ``(1+x)^n``.  Counting
-    big-integer products and additions, and calls into C, per entry, the
-    steps cost |n|, and expanding a form ``(1+x)^e P/C = s`` as
-    ``(1+x)^(e+n) P/C`` costs 2|P| + 2|C| + 10: a binomial row (5), a
-    product by it and the division by C (2|C| + 5).  A form s carries holds by
-    construction, so it is taken, with no search, when that count is below
-    the fallback: |n|, or order + 4 for the binomial sum
-    ``sum_j C(n, j) s[k-j]``.  Otherwise Berlekamp-Massey modulo
-    p = 2^61 - 1 proposes an integer C with ``C[0] == 1`` in two searches
-    run in step, which find forms whose check and expansion count at most
-    6L + 15 for at most L terms in P:
-
-    - **A form of s, from its last entries**, which satisfy the recurrence
-      C past the numerator however long that is: ``d = C s`` through the
-      order (2|C|) makes ``s = d/C`` an identity there, for any such C,
-      and ``d = (1+x)^e P``, P read off d's first terms, is checked by one
-      product with a binomial row (2|P| + 6): 4|P| + 4|C| + 16 in all.
-    - **A form of T^n s** (e = -n), from its leading entries by one
-      binomial row: ``(1+x)^(-n) P = C s`` is checked through the order,
-      and as T^-n is a bijection on truncations, P/C then expands T^n s:
-      2|P| + 4|C| + 11 in all.  This one finds the forms whose denominator
-      is long (T^m s with m < 0) or whose numerator fills the truncation.
-
-    A numerator's factors 1 + x are moved into e before its check.  Forms
-    are sought while 6L + 15 stays below the fallback, and while a miss
-    costs at most 1/64 of it: a search up to L reads 2L + 2 entries, about
-    6 (L + 1)^2 operations on residues.
-
-    No result rests on the modular guess.  Without a form, |n| up to 4
-    times the order takes the steps and larger |n| the binomial sum (the
-    form C = 1, P = s), whose cost does not grow with n.  A forward step
-    adds the list to itself offset by one, and an inverse step is a prefix
-    sum of the sign-alternated list.
-
-    s keeps a form the search found, checked through its order, and a
-    later shift or swap of s takes it as carried; results carry none."""
+    T^n multiplies the generating function by ``(1+x)^n``, so a form
+    ``(1+x)^e P/C = s`` shifts to ``(1+x)^(e+n) P/C``.  The form is taken
+    by :func:`_take_form` against a fallback of |n| per entry for the
+    steps, or order + 4 for the binomial sum ``sum_j C(n, j) s[k-j]``,
+    whose cost does not grow with n; :func:`_short_form` searches for it.
+    Without one the entries are multiplied by ``(1+x)^n`` by
+    :func:`_times_binomial`, which takes the steps for |n| up to
+    4 (order + 1) and the binomial sum beyond.  No result rests on the
+    modular guess, and results carry no form."""
     _require_int(n, "shift count n")
     if not any(s.entries):
         return GammaSeq._built(s.entries)
     order = s.order
-    fallback = min(abs(n), order + 4)
-    if s._form:
-        form = s._form if _carried_cost(s._form) < fallback else None
-    else:
-        limit = min((fallback - 16) // 6,
-                    isqrt((order + 1) * fallback // (6 * _MISS_SHARE)) - 1)
-        form = _short_form(s, n, limit) if limit > 0 else None
-        if form:
-            s._keep(form)
+    form = _take_form(s, min(abs(n), order + 4), lambda limit: _short_form(s, n, limit))
     if form:
         num, den, e = form
         return GammaSeq._built(_series_quotient(_times_binomial(num, e + n, order), den, order))
-    if abs(n) > _SHIFT_STEPS_PER_INDEX * order:
-        return GammaSeq._built(_times_binomial(s.entries, n, order))
-    if n < 0:
-        return GammaSeq._built(_inverse_steps(s.entries, -n))
-    entries = list(s.entries)
-    for _ in range(n):
-        # slice assignment consumes the map in full before it writes
-        entries[1:] = map(add, entries[1:], entries)
-    return GammaSeq._built(entries)
+    return GammaSeq._built(_times_binomial(s.entries, n, order))
 
 
 def _reflect(p, d: int) -> list:
@@ -324,24 +316,19 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     likewise for d >= deg P, deg C: about 2|C| products per entry.  Without
     one, a forward-sum table (row 0 is ``s[1:]``, row m+1 adds row m to
     itself offset by one, entry k is ``(-1)^k`` times the head of row k-1)
-    takes order^2/2 additions.  A form s carries is taken when its
-    expansion, counted as in :func:`apply_shift`, costs less than the
-    table's order/2 additions per entry.  Otherwise a form is searched for
-    and checked as in :func:`apply_shift`, and s keeps the form it finds;
-    a miss costs at most 1/64 of the table, so no swap below order 55
-    searches.
+    takes order^2/2 additions.  The form is taken by :func:`_take_form`
+    against the table's (order + 1) // 2 additions per entry, and searched
+    for on s's leading entries; no swap below order 55 searches.
     """
     if not any(s.entries):
         return GammaSeq._built(s.entries)
     order = s.order
-    form = s._form
-    if not (form and 2 * _carried_cost(form) < order):
-        # a miss up to L terms costs 6 (L + 1)^2 operations, as in apply_shift
-        limit = isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1
-        search = _form_search(s.entries[: 2 * limit + 2], lambda m: s.entries[:m], 0, s, limit)
-        form = next(filter(None, search), None) if limit > 0 else None
-        if form and not s._form:
-            s._keep(form)
+
+    def search(limit):
+        found = _form_search(s.entries[: 2 * limit + 2], lambda m: s.entries[:m], 0, s, limit)
+        return next(filter(None, found), None)
+
+    form = _take_form(s, (order + 1) // 2, search)
     if form:
         num, den, f = form
         d = max([len(den) - 1] + [i for i, v in enumerate(num) if v])

@@ -49,7 +49,7 @@ def exponents(draw, s):
     cost = _carried_cost(s._form) if s._form else 30
     n = draw(st.one_of(
         st.sampled_from([0, 1, 21, 22, cost - 1, cost, cost + 1, s.order + 4,
-                         4 * s.order + 1, 10**9 + 7]),
+                         4 * s.order + 4, 4 * s.order + 5, 10**9 + 7]),
         st.integers(0, 2 * s.order + 10),
     ))
     return n * draw(st.sampled_from([1, -1]))

@@ -20,10 +20,11 @@ from linkgamma.gamma import (
 )
 from linkgamma.polylin import charpoly, det, identity, mat_mul, transpose
 from linkgamma import transforms
-from linkgamma.equivalence import canonicalize
+from linkgamma.equivalence import are_equivalent, canonicalize
 from linkgamma.transforms import (
     _MISS_SHARE,
-    _SHIFT_STEPS_PER_INDEX,
+    _STEPS_PER_PRODUCT,
+    _carried_cost,
     apply_shift,
     beta_from_gamma,
     mixed_gamma0,
@@ -78,16 +79,35 @@ def test_binomial_rows_match_comb():
                                                       for j in range(size)]
 
 
+def steps_switch(p, order, sign):
+    # the largest |e| of this sign for which _times_binomial takes |e| steps
+    # through the order, against |p| products per term of the row
+    def row(e):
+        return order + 1 if e < 0 else min(order, e) + 1
+
+    return max(a for a in range(_STEPS_PER_PRODUCT * len(p) + 1)
+               if a * (order + 1) <= _STEPS_PER_PRODUCT * len(p) * row(sign * a))
+
+
 @settings(deadline=None)
 @given(p=st.lists(st.integers(-2**300, 2**300), min_size=1, max_size=40),
        data=st.data(), order=st.integers(0, 120))
 @example(p=[1, 2, 3], data=None, order=1)  # p longer than the truncation
 def test_a_short_numerator_times_a_negative_power_matches_the_row(p, data, order):
-    # for -3|p| <= e < 0 the product with the row of order + 1 binomials is
-    # taken as -e inverse steps on p padded to the order
-    e = data.draw(st.integers(-3 * len(p), -1)) if data else -9
-    row = transforms._product(p, transforms._binomials(e, order + 1), order)
-    assert transforms._times_binomial(p, e, order) == row
+    # (1+x)^e p, taken as |e| forward or inverse steps on p padded to the
+    # order or as the product with the binomial row, for a short p or a
+    # whole sequence, e of both signs, at the switch and either side of it
+    es = [-9]
+    if data:
+        if data.draw(st.booleans()):
+            p = (p * (order + 1))[: order + 1]
+        es = [data.draw(st.integers(-5 * len(p), 5 * len(p)))]
+    for sign in (1, -1):
+        edge = steps_switch(p, order, sign)
+        es += [sign * a for a in (edge - 1, edge, edge + 1) if a >= 0]
+    for e in es:
+        row = transforms._product(p, transforms._binomials(e, order + 1), order)
+        assert transforms._times_binomial(p, e, order) == row
 
 
 def binomial_shift(e, n):
@@ -115,7 +135,7 @@ def test_shift_matches_closed_binomial_formula(s, n):
 def test_shift_step_and_binomial_paths_meet_at_the_threshold(order):
     # |n| up to the edge takes the steps, beyond it the binomial sum
     s = rand_seq(random.Random(order), order)
-    edge = _SHIFT_STEPS_PER_INDEX * order
+    edge = _STEPS_PER_PRODUCT * (order + 1)
     for n in (edge - 1, edge, edge + 1, edge + 2, 10**12 + 7):
         for signed in (n, -n):
             assert apply_shift(s, signed).entries == binomial_shift(s.entries, signed)
@@ -150,7 +170,7 @@ def long_shifts(draw):
     # order + 4 on its length, and of the switch from the steps to the
     # binomial sum, and far past the order
     order = draw(st.integers(60, 300))
-    edge = _SHIFT_STEPS_PER_INDEX * order
+    edge = _STEPS_PER_PRODUCT * (order + 1)
     n = draw(st.one_of(
         st.sampled_from([0, 1, 10, 11, 21, 22, 23, order + 3, order + 4, order + 5,
                          edge, edge + 1, 10**12 + 7]),
@@ -185,7 +205,7 @@ def test_shift_takes_each_route(monkeypatch):
     # records which search found a form, "tail" for the one on the input's
     # last entries and "result" for the one on the result's leading
     # entries, None for searches that found none, and "sum" for the
-    # binomial sum over the entries
+    # binomial row's product with the entries
     routes = []
 
     def recording(s, n, limit):
@@ -206,17 +226,17 @@ def test_shift_takes_each_route(monkeypatch):
                 routes.append("tail")
             yield form
 
-    def times_binomial(p, e, order):
-        if p is fresh.entries:
+    def product(a, b, order):
+        if a is fresh.entries:
             routes.append("sum")
-        return times_binomial_(p, e, order)
+        return product_(a, b, order)
 
     short_form, form_search = transforms._short_form, transforms._form_search
-    tail_search, times_binomial_ = transforms._tail_search, transforms._times_binomial
+    tail_search, product_ = transforms._tail_search, transforms._product
     monkeypatch.setattr(transforms, "_short_form", recording)
     monkeypatch.setattr(transforms, "_form_search", searching)
     monkeypatch.setattr(transforms, "_tail_search", tailing)
-    monkeypatch.setattr(transforms, "_times_binomial", times_binomial)
+    monkeypatch.setattr(transforms, "_product", product)
     # without the form gamma_seq attaches, which would take the place of the search
     s = GammaSeq(gamma_seq(gen_presentation(3, 2, 3), 300).entries)
     copy = GammaSeq(binomial_shift(s.entries, 200))
@@ -233,8 +253,8 @@ def test_shift_takes_each_route(monkeypatch):
         (long_den, 100, ["result"]),
         (s, 30, [None]),  # a search too short for s's form of 5 terms
         (noise, 60, [None]),  # a miss, then the steps
-        (noise, -1200, [None]),  # the steps up to 4 times the order
-        (noise, 1201, [None, "sum"]),
+        (noise, -1204, [None]),  # the steps up to 4 (order + 1)
+        (noise, 1205, [None, "sum"]),
         (noise, -(10**12 + 7), [None, "sum"]),
         (s, 21, []),  # no search pays: the steps
     ]
@@ -379,7 +399,7 @@ def test_tail_search_exits(ones, branch):
 @pytest.mark.parametrize("order", [0, 1, 2, 30, 300, 1000])
 def test_zeros_shift_and_swap_to_zeros(order):
     zeros = GammaSeq((0,) * (order + 1))
-    for n in (1, 22, 31, 200, _SHIFT_STEPS_PER_INDEX * order + 1, 10**12 + 7):
+    for n in (1, 22, 31, 200, _STEPS_PER_PRODUCT * (order + 1) + 1, 10**12 + 7):
         for signed in (n, -n):
             assert apply_shift(zeros, signed) == zeros
     assert swap_seq(zeros) == zeros
@@ -581,21 +601,58 @@ def test_swap_takes_each_route(monkeypatch):
         assert swap_seq(fresh).entries == pascal_swap(seq.entries)
         assert routes == ([] if len(found) == 2 else found)
     # a carried form costs 2|P| + 2|C| + 10 per entry, 22 at genus 1 and 46
-    # at genus 4: below the table's order/2 it is reflected ("form") in
-    # place of the search, and otherwise the search runs as without it
+    # at genus 4: below the table's (order + 1) // 2 it is reflected
+    # ("form") in place of the search, and otherwise the table swaps
     reflect = transforms._reflect
     monkeypatch.setattr(transforms, "_reflect", lambda p, d: routes.append("form") or reflect(p, d))
     for seq, found in [
         (genus_4, ["form"] * 2),
         (genus_1, ["form"] * 2),
-        (GammaSeq._built(genus_1.entries[:46], genus_1._form), ["form"] * 2),  # 22 < 45/2
-        (GammaSeq._built(genus_1.entries[:45], genus_1._form), []),  # 22 = 44/2: the table
-        (GammaSeq._built(genus_4.entries[:93], genus_4._form), ["search"]),  # 46 = 92/2
-        (GammaSeq._built(genus_4.entries[:94], genus_4._form), ["form"] * 2),  # 46 < 93/2
+        (GammaSeq._built(genus_1.entries[:46], genus_1._form), ["form"] * 2),  # 22 < 46 // 2
+        (GammaSeq._built(genus_1.entries[:45], genus_1._form), []),  # 22 = 45 // 2: the table
+        (GammaSeq._built(genus_4.entries[:93], genus_4._form), []),  # 46 = 93 // 2
+        (GammaSeq._built(genus_4.entries[:94], genus_4._form), ["form"] * 2),  # 46 < 94 // 2
     ]:
         routes.clear()
         assert swap_seq(seq).entries == pascal_swap(seq.entries)
         assert routes == found
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_a_carried_form_is_never_searched_past(monkeypatch, genus):
+    # at orders 0 to 400, a gamma sequence's carried form and the form a
+    # copy T^60 s kept from a verdict are expanded when they cost less than
+    # the fallback, and otherwise the shift takes the steps and the swap
+    # the table, with no search.  Entry k of either operator reads entries
+    # up to k, so the form-free operators at order 400, cut, are the
+    # oracles at every order
+    def refuse(*args):
+        raise AssertionError("searched past a carried form")
+
+    s = gamma_seq(gen_presentation(genus, genus, 3), 400)
+    copy = binomial_shift(s.entries, 60)
+    cost = _carried_cost(s._form)
+    ns = (cost, -cost - 1)  # |n| = cost leaves the form, and cost + 1 takes it
+    lead = next(k for k, e in enumerate(s.entries) if e)
+    oracles = {}
+    with monkeypatch.context() as m:  # searches disabled: the steps and the table
+        m.setattr(transforms, "_short_form", lambda *args: None)
+        m.setattr(transforms, "_form_search", lambda *args: iter(()))
+        for entries in (s.entries, copy):
+            oracles[entries] = ([apply_shift(GammaSeq(entries), n).entries for n in ns],
+                                swap_seq(GammaSeq(entries)).entries)
+    monkeypatch.setattr(transforms, "_short_form", refuse)
+    monkeypatch.setattr(transforms, "_form_search", refuse)
+    for order in range(401):
+        carried = GammaSeq._built(s.entries[: order + 1], s._form)
+        kept = GammaSeq(copy[: order + 1])
+        are_equivalent(carried, kept)  # with no entry past the leading one, it keeps none
+        assert (kept._form is None) == (order <= lead)
+        for seq, entries in ((carried, s.entries), (kept, copy)):
+            shifted, swapped = oracles[entries]
+            for n, want in zip(ns, shifted):
+                assert apply_shift(seq, n).entries == want[: order + 1]
+            assert swap_seq(seq).entries == swapped[: order + 1]
 
 
 def test_form_search_gives_up_on_a_far_mismatch():
@@ -621,10 +678,18 @@ def test_form_search_ends_after_its_form():
     assert expanded == list(s.entries)
 
 
+def swap_limit(order):
+    # the most terms a swap at this order searches for: _take_form's limit
+    # against the table's (order + 1) // 2 additions per entry
+    limits = []
+    transforms._take_form(GammaSeq((1,) * (order + 1)), (order + 1) // 2, limits.append)
+    return max(limits, default=0)
+
+
 def least_swap_order(terms):
     # the least order whose swap searches for forms of up to this many terms
     order = 1
-    while math.isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1 < terms:
+    while swap_limit(order) < terms:
         order += 1
     return order
 
@@ -673,8 +738,7 @@ def test_a_reduced_h_swaps_through_a_two_term_form(monkeypatch, order, forms):
     # h reduces to a form of 2 terms, short enough for the smallest limits
     # that search (orders 55 to 110)
     s = GammaSeq(gamma_seq(POWERS_OF_TWO, order).entries)  # without its carried form
-    limit = math.isqrt(order * (order + 1) // (12 * _MISS_SHARE)) - 1
-    assert limit == (1 if order == 80 else 2)
+    assert swap_limit(order) == (1 if order == 80 else 2)
     swapped, found = swap_with_forms_found(monkeypatch, s)
     assert found == forms
     assert swapped == table_swap(monkeypatch, s)
