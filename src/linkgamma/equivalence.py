@@ -177,6 +177,13 @@ def canonicalize(s: GammaSeq) -> tuple[GammaSeq, int]:
     leading value.  Idempotent, and constant on equivalence classes: two
     sequences are equivalent exactly when their canonical forms agree
     entrywise.
+
+    The representative is one :func:`~linkgamma.transforms.apply_shift`,
+    which keeps its result in the memo of the last two expansions when the
+    sequence has a form (P, C, e).  The representative of an equivalent
+    sequence with the same (P, C), such as a copy that an equivalent
+    verdict left keeping this sequence's form, has the same key, so the
+    second of the two calls reads the first's entries and expands nothing.
     """
     k = _first_nonzero(s.entries)
     if k is None or k == s.order:

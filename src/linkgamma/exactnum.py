@@ -267,6 +267,14 @@ class Series:
             raise ValueError("a series carries at least its constant coefficient")
         self.coeffs = cs
 
+    @classmethod
+    def _built(cls, coeffs: tuple) -> "Series":
+        """A series of ints the library computed, unchecked: ``coeffs`` is a
+        nonempty tuple."""
+        series = object.__new__(cls)
+        series.coeffs = coeffs
+        return series
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -361,20 +369,71 @@ def _taylor_shift_one(p: Poly) -> list:
     return acc
 
 
+def _unit_constant(num, den) -> tuple:
+    """``(num, den)`` with ``den[0] == 1``: both negated when
+    ``den[0] == -1``; any other ``den[0]`` raises ``ValueError``."""
+    if den[0] == -1:
+        return tuple(map(neg, num)), tuple(map(neg, den))
+    if den[0] != 1:
+        raise ValueError(f"series quotient needs a constant term of 1 or -1, got {den[0]}")
+    return num, den
+
+
 def _series_quotient(num, den, order: int) -> list:
     """Coefficients 0..order of the power series ``num/den``, for int
     sequences with ``den[0] == 1``, where each coefficient is
     ``c_k = num_k - sum_j den_j c_(k-j)``, or ``den[0] == -1``, where both
     inputs are negated first.  Any other ``den[0]`` raises ``ValueError``."""
-    if den[0] == -1:
-        num, den = list(map(neg, num)), list(map(neg, den))
-    elif den[0] != 1:
-        raise ValueError(f"series quotient needs a constant term of 1 or -1, got {den[0]}")
+    num, den = _unit_constant(num, den)
     tail = [-d for d in den[1:]]
     out = []
     for k in range(order + 1):
         out.append(sum(map(mul, tail, reversed(out)), num[k] if k < len(num) else 0))
     return out
+
+
+# The expansions kept, each ((order, e, P, C), entries), newest first.  An
+# expansion is asked for again, if at all, right after it is made: gamma_seq's
+# by h's expansion, one canonical form's by the other's; so two entries serve
+# both.  The tuple is replaced whole, never changed, so a concurrent call reads
+# the old one or the new one, and at worst computes an expansion again.
+_EXPANSIONS_KEPT = 2
+_expansions = ()
+
+
+def _expansion_key(num, den, e: int, order: int) -> tuple:
+    """The memo key of entries 0..order of ``(1+x)^e num/den``: num and den
+    as tuples trimmed of trailing zeros, both negated when ``den[0] == -1``
+    (:func:`_unit_constant`), so that equal keys name equal expansions."""
+    num, den = _unit_constant(Poly(num).coeffs, Poly(den).coeffs)
+    return order, e, num, den
+
+
+def _expansion_kept(key):
+    """The entries kept under ``key``, or None."""
+    for kept, entries in _expansions:
+        if kept == key:
+            return entries
+    return None
+
+
+def _keep_expansion(key, entries) -> tuple:
+    """Keep ``entries`` as a tuple under ``key``, in place of the oldest
+    expansion kept, and return the tuple."""
+    global _expansions
+    entries = tuple(entries)
+    _expansions = ((key, entries), *_expansions[: _EXPANSIONS_KEPT - 1])
+    return entries
+
+
+def _expansion(num, den, order: int) -> tuple:
+    """Entries 0..order of ``num/den`` as :func:`_series_quotient` gives
+    them, taken from the expansions kept or computed and kept."""
+    key = _expansion_key(num, den, 0, order)
+    entries = _expansion_kept(key)
+    if entries is None:
+        entries = _keep_expansion(key, _series_quotient(num, den, order))
+    return entries
 
 
 def series_expand_at_one(f: RatFn, order: int) -> Series:
@@ -383,13 +442,17 @@ def series_expand_at_one(f: RatFn, order: int) -> Series:
     Substitutes t = 1 + x and divides the shifted numerator by the shifted
     denominator as truncated power series.  Every h has den(1) = 1 or -1;
     any other nonzero den(1) raises ``ValueError``, and a pole (den(1) = 0)
-    ``ZeroDivisionError``.
+    ``ZeroDivisionError``.  The expansion goes through the memo of the last
+    two (:func:`_expansion`): h's shifted pair, sign made den(1) = 1, is the
+    form that :func:`~linkgamma.gamma.gamma_seq` expands past its switch,
+    unless h reduces, so after ``gamma_seq(p, order)`` the expansion of
+    ``h_closed_form(p)`` to that order divides nothing again.
     """
     _require_int(order, "expansion order", 0)
     q = _taylor_shift_one(f.den)
     if not q[0]:
         raise ZeroDivisionError("expansion center is a pole")
-    return Series(_series_quotient(_taylor_shift_one(f.num), q, order))
+    return Series._built(_expansion(_taylor_shift_one(f.num), q, order))
 
 
 def series_compose(outer: Series, inner: Series, order: int) -> Series:

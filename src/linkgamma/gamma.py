@@ -50,7 +50,7 @@ from collections import deque
 from itertools import accumulate, islice, repeat
 from operator import mul
 
-from .exactnum import Poly, RatFn, _require_int, _series_quotient, ratfn_reduce
+from .exactnum import Poly, RatFn, _expansion, _require_int, ratfn_reduce
 from .polylin import (
     IntMatrix,
     IntVector,
@@ -291,7 +291,11 @@ def gamma_seq(p: SeifertPresentation, order: int) -> GammaSeq:
     form, and the recurrence never reads it.  So with
     ``C = det(I - xB) = sum_i c_i x^i`` and P the product of C with terms
     0..n, truncated to degree n, the sequence expands P/C, and the result
-    carries that form.
+    carries that form.  That expansion goes through the memo of the last
+    two (:func:`~linkgamma.exactnum._expansion`), which
+    :func:`~linkgamma.exactnum.series_expand_at_one` reads: h's expansion
+    at t = 1 is this P/C unless h reduces, so right after this call it
+    divides nothing again.
     """
     _require_int(order, "sequence order", 0)
     prepare(p)
@@ -303,7 +307,7 @@ def gamma_seq(p: SeifertPresentation, order: int) -> GammaSeq:
     if head < order:
         den = charpoly(p._prepared[1])
         num = tuple([sum(map(mul, den, entries[k::-1])) for k in range(n + 1)])
-        return GammaSeq._built(_series_quotient(num, den, order), (num, den, 0))
+        return GammaSeq._built(_expansion(num, den, order), (num, den, 0))
     return GammaSeq._built(entries)
 
 

@@ -26,7 +26,15 @@ from itertools import accumulate, compress, count, repeat, zip_longest
 from math import isqrt
 from operator import add, mul, ne, neg, pos
 
-from .exactnum import _P, _berlekamp_massey, _require_int, _series_quotient
+from .exactnum import (
+    _P,
+    _berlekamp_massey,
+    _expansion_key,
+    _expansion_kept,
+    _keep_expansion,
+    _require_int,
+    _series_quotient,
+)
 from .gamma import GammaSeq
 
 
@@ -266,6 +274,12 @@ def _take_form(s: GammaSeq, fallback: int, search):
     return form
 
 
+def _shift_key(s: GammaSeq, n: int) -> tuple:
+    # the memo key of T^n s, for an s that carries or kept (P, C, e)
+    num, den, e = s._form
+    return _expansion_key(num, den, e + n, s.order)
+
+
 def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     """Apply the shift-plus-identity operator n times (entry k becomes
     ``s[k] + s[k-1]``).  Negative n inverts: the operator is a bijection
@@ -274,7 +288,12 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     truncation order is preserved.
 
     T^n multiplies the generating function by ``(1+x)^n``, so a form
-    ``(1+x)^e P/C = s`` shifts to ``(1+x)^(e+n) P/C``.  The form is taken
+    ``(1+x)^e P/C = s`` shifts to ``(1+x)^(e+n) P/C``.  On an s with a
+    form, carried or kept, the result is first looked up under
+    ``(P, C, e + n, order)`` in the memo of the last two expansions
+    (:func:`~linkgamma.exactnum._expansion`), and whatever route computes
+    it keeps it there, so a sequence and a copy that kept its form expand
+    their common canonical form once.  Otherwise the form is taken
     by :func:`_take_form` against a fallback of |n| per entry for the
     steps, or order + 4 for the binomial sum ``sum_j C(n, j) s[k-j]``,
     whose cost does not grow with n; :func:`_short_form` searches for it.
@@ -286,11 +305,19 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     if not any(s.entries):
         return GammaSeq._built(s.entries)
     order = s.order
+    key = _shift_key(s, n) if s._form else None
+    entries = _expansion_kept(key)
+    if entries:
+        return GammaSeq._built(entries)
     form = _take_form(s, min(abs(n), order + 4), lambda limit: _short_form(s, n, limit))
     if form:
         num, den, e = form
-        return GammaSeq._built(_series_quotient(_times_binomial(num, e + n, order), den, order))
-    return GammaSeq._built(_times_binomial(s.entries, n, order))
+        entries = _series_quotient(_times_binomial(num, e + n, order), den, order)
+    else:
+        entries = _times_binomial(s.entries, n, order)
+    if s._form:
+        entries = _keep_expansion(key or _shift_key(s, n), entries)
+    return GammaSeq._built(entries)
 
 
 def _reflect(p, d: int) -> list:
