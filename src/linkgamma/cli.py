@@ -24,7 +24,7 @@ import os
 import sys
 
 from .equivalence import DISTINCT, EQUIVALENT, are_equivalent
-from .exactnum import RatFn, poly_str, series_expand_at_one
+from .exactnum import RatFn, _require_int, poly_str, series_expand_at_one
 from .fileformat import load_text, sequence_to_doc
 from .gamma import GammaSeq, gamma_seq, h_closed_form, prepare
 from .milnor import milnor_residues
@@ -69,8 +69,7 @@ def _read(path: str, kind: str):
 
 def _order(value: int, what: str = "order") -> int:
     # an order N yields N + 1 entries, and that count must fit an index
-    if value < 0:
-        raise ValueError(f"{what} must be nonnegative")
+    _require_int(value, what, 0)
     if value >= sys.maxsize:
         raise ValueError(f"{what} must be less than {sys.maxsize}")
     return value

@@ -22,9 +22,9 @@ certificates are issued.
 
 from __future__ import annotations
 
-from .exactnum import RatFn
+from .exactnum import RatFn, _first_difference, _product, _times_binomial
 from .gamma import GammaSeq, Record
-from .transforms import _first_difference, _product, _times_binomial, apply_shift
+from .transforms import apply_shift
 
 EQUIVALENT = "equivalent"
 DISTINCT = "distinct"
@@ -179,11 +179,11 @@ def canonicalize(s: GammaSeq) -> tuple[GammaSeq, int]:
     entrywise.
 
     The representative is one :func:`~linkgamma.transforms.apply_shift`,
-    which keeps its result in the memo of the last two expansions when the
-    sequence has a form (P, C, e).  The representative of an equivalent
-    sequence with the same (P, C), such as a copy that an equivalent
-    verdict left keeping this sequence's form, has the same key, so the
-    second of the two calls reads the first's entries and expands nothing.
+    so on a sequence with a form (P, C, e) it is the memo's entry
+    (:func:`~linkgamma.exactnum._expansion`).  An equivalent sequence with
+    the same (P, C), such as a copy that an equivalent verdict left keeping
+    this sequence's form, has the same representative and key, so the
+    second of the two calls expands nothing.
     """
     k = _first_nonzero(s.entries)
     if k is None or k == s.order:

@@ -18,12 +18,18 @@ Brown 1971); only a pair that fails it is reduced by ``poly_gcd``, the
 primitive pseudo-remainder sequence over Z (Collins 1967), whose every
 division is exact.  Laurent polynomials need no separate type: a monomial
 denominator ``t^m`` covers negative exponents.
+
+The arithmetic of a form ``(1+x)^e P/C``, which the gamma sequence, h's
+expansion, the shift and the swap all expand, is here too: the product by
+``(1+x)^e`` (``_times_binomial``), the series quotient and their memo
+(``_expansion``).
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, mul, neg
+from itertools import accumulate, compress, count, repeat
+from operator import add, mul, ne, neg
 
 
 def _coeff(c):
@@ -392,47 +398,102 @@ def _series_quotient(num, den, order: int) -> list:
     return out
 
 
-# The expansions kept, each ((order, e, P, C), entries), newest first.  An
-# expansion is asked for again, if at all, right after it is made: gamma_seq's
-# by h's expansion, one canonical form's by the other's; so two entries serve
-# both.  The tuple is replaced whole, never changed, so a concurrent call reads
-# the old one or the new one, and at worst computes an expansion again.
+def _binomials(n: int, size: int) -> list[int]:
+    """``C(n, 0), ..., C(n, size - 1)``, generalized binomials for n < 0,
+    built by ``C(n, j) = C(n, j-1) (n-j+1) / j``, each division exact.  A
+    row that ends within size, 0 <= n < size, is built to its middle and
+    mirrored."""
+    top = n // 2 if 0 <= n < size else size - 1
+    row = [1]
+    for j in range(1, top + 1):
+        row.append(row[-1] * (n - j + 1) // j)
+    if top < size - 1:
+        row += row[: n - top][::-1] + [0] * (size - n - 1)
+    return row
+
+
+def _product(a, b, order: int) -> list:
+    """Coefficients 0..order of the product of coefficient lists a and b,
+    one pass over b per term of a, so a should be the shorter."""
+    out = [0] * (order + 1)
+    for j, aj in enumerate(a[: order + 1]):
+        if aj:
+            m = min(len(b), order + 1 - j)
+            out[j : j + m] = map(add, out[j : j + m], map(mul, repeat(aj), b[:m]))
+    return out
+
+
+# _times_binomial takes |e| steps of one addition per entry in place of a
+# product with the binomial row while they number at most this many per
+# product.  Timed on Python 3.11 on a 2-core Intel Xeon host, inverse
+# steps on a short numerator took as long as the product near |e| = 4|p|.
+_STEPS_PER_PRODUCT = 4
+
+
+def _times_binomial(p, e: int, order: int) -> list:
+    """Coefficients 0..order of ``(1+x)^e p``, by |e| steps on p padded to
+    the order, |e| (order + 1) additions, or by the product with the
+    binomial row, |p| products per term of the row, whichever counts less
+    with a product weighed as _STEPS_PER_PRODUCT steps.  A forward step
+    adds the list to itself offset by one; an inverse step is a prefix sum
+    of the sign-alternated list ``(-1)^i c[i]``."""
+    size = order + 1 if e < 0 else min(order, e) + 1
+    if abs(e) * (order + 1) > _STEPS_PER_PRODUCT * len(p) * size:
+        return _product(p, _binomials(e, size), order)
+    c = [*p[: order + 1], *[0] * (order + 1 - len(p))]
+    if e < 0:
+        c[1::2] = map(neg, c[1::2])
+        for _ in range(-e):
+            c = list(accumulate(c))
+        c[1::2] = map(neg, c[1::2])
+    for _ in range(e):
+        # slice assignment consumes the map in full before it writes
+        c[1:] = map(add, c[1:], c)
+    return c
+
+
+def _first_difference(a, b, start: int = 0):
+    """The first index, counted from ``start``, where lists a and b differ
+    within the shorter, or None."""
+    return next(compress(count(start), map(ne, a, b)), None)
+
+
+def _expand(num, den, e: int, order: int) -> list:
+    """Coefficients 0..order of the power series ``(1+x)^e num/den``, for
+    int sequences with ``den[0]`` 1 or -1, as :func:`_series_quotient`."""
+    return _series_quotient(_times_binomial(num, e, order), den, order)
+
+
 _EXPANSIONS_KEPT = 2
 _expansions = ()
 
 
-def _expansion_key(num, den, e: int, order: int) -> tuple:
-    """The memo key of entries 0..order of ``(1+x)^e num/den``: num and den
-    as tuples trimmed of trailing zeros, both negated when ``den[0] == -1``
-    (:func:`_unit_constant`), so that equal keys name equal expansions."""
-    num, den = _unit_constant(Poly(num).coeffs, Poly(den).coeffs)
-    return order, e, num, den
+def _expansion(num, den, e: int, order: int, compute=None) -> tuple:
+    """Entries 0..order of ``(1+x)^e num/den``, the one memo of expansions.
 
+    The key is ``(order, e, P, C)``: num and den as tuples trimmed of
+    trailing zeros, both negated when ``den[0] == -1``
+    (:func:`_unit_constant`), so equal keys name equal expansions.  A key
+    kept returns its entries; otherwise they are computed, by
+    :func:`_expand` or by ``compute()`` when given (a route of the
+    caller's that gives the same entries), and kept as a tuple in place of
+    the oldest of the two kept, newest first.  An expansion is asked for
+    again, if at all, right after it is made: ``gamma_seq``'s by h's
+    expansion, one canonical form's by the other's, so two serve both.
 
-def _expansion_kept(key):
-    """The entries kept under ``key``, or None."""
+    The memo is module state, not a per-form cache, because h's expansion
+    reaches ``gamma_seq``'s only through it: h comes from the determinants,
+    not from the sequence's form, until h is built from the characteristic
+    polynomial (ROADMAP item 2).  The tuple ``_expansions`` is replaced
+    whole, never changed, so a concurrent call reads the old one or the
+    new one, and at worst computes an expansion again."""
+    global _expansions
+    key = (order, e, *_unit_constant(Poly(num).coeffs, Poly(den).coeffs))
     for kept, entries in _expansions:
         if kept == key:
             return entries
-    return None
-
-
-def _keep_expansion(key, entries) -> tuple:
-    """Keep ``entries`` as a tuple under ``key``, in place of the oldest
-    expansion kept, and return the tuple."""
-    global _expansions
-    entries = tuple(entries)
+    entries = tuple(compute() if compute else _expand(num, den, e, order))
     _expansions = ((key, entries), *_expansions[: _EXPANSIONS_KEPT - 1])
-    return entries
-
-
-def _expansion(num, den, order: int) -> tuple:
-    """Entries 0..order of ``num/den`` as :func:`_series_quotient` gives
-    them, taken from the expansions kept or computed and kept."""
-    key = _expansion_key(num, den, 0, order)
-    entries = _expansion_kept(key)
-    if entries is None:
-        entries = _keep_expansion(key, _series_quotient(num, den, order))
     return entries
 
 
@@ -442,17 +503,16 @@ def series_expand_at_one(f: RatFn, order: int) -> Series:
     Substitutes t = 1 + x and divides the shifted numerator by the shifted
     denominator as truncated power series.  Every h has den(1) = 1 or -1;
     any other nonzero den(1) raises ``ValueError``, and a pole (den(1) = 0)
-    ``ZeroDivisionError``.  The expansion goes through the memo of the last
-    two (:func:`_expansion`): h's shifted pair, sign made den(1) = 1, is the
-    form that :func:`~linkgamma.gamma.gamma_seq` expands past its switch,
-    unless h reduces, so after ``gamma_seq(p, order)`` the expansion of
-    ``h_closed_form(p)`` to that order divides nothing again.
+    ``ZeroDivisionError``.  The expansion goes through :func:`_expansion`,
+    where h's shifted pair is the key of the form that
+    :func:`~linkgamma.gamma.gamma_seq` expands past its switch, unless h
+    reduces.
     """
     _require_int(order, "expansion order", 0)
     q = _taylor_shift_one(f.den)
     if not q[0]:
         raise ZeroDivisionError("expansion center is a pole")
-    return Series._built(_expansion(_taylor_shift_one(f.num), q, order))
+    return Series._built(_expansion(_taylor_shift_one(f.num), q, 0, order))
 
 
 def series_compose(outer: Series, inner: Series, order: int) -> Series:

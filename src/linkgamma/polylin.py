@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import mul
 
-from .exactnum import Poly
+from .exactnum import Poly, _product
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -175,7 +175,7 @@ def charpoly(m) -> IntVector:
         for _ in range(k):
             toeplitz.append(-vec_dot(left, v))
             v = mat_vec(lead, v)
-        c = [sum(map(mul, toeplitz[i::-1], c)) for i in range(k + 2)]
+        c = _product(c, toeplitz, k + 1)
     return tuple(c)
 
 

@@ -15,85 +15,35 @@ which form an operator expands: the one the sequence carries (see
 :class:`~linkgamma.gamma.GammaSeq`), with no search and no check, or one
 found by Berlekamp-Massey modulo a prime and checked exactly, which a
 form-free sequence keeps; or none, when the operator's own route counts
-less.  Without a form :func:`apply_shift` multiplies the entries by
-``(1+x)^n`` through :func:`_times_binomial`, the one kernel for that
-product, and :func:`swap_seq` takes the quadratic table.
+less.  The form arithmetic, the product by ``(1+x)^e`` included, is
+:mod:`~linkgamma.exactnum`'s, and a shift through a form goes through its
+memo, :func:`~linkgamma.exactnum._expansion`.  Without a form
+:func:`swap_seq` takes the quadratic table.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress, count, repeat, zip_longest
 from math import isqrt
-from operator import add, mul, ne, neg, pos
+from operator import add, mul, neg, pos
 
 from .exactnum import (
     _P,
     _berlekamp_massey,
-    _expansion_key,
-    _expansion_kept,
-    _keep_expansion,
+    _binomials,
+    _expand,
+    _expansion,
+    _first_difference,
+    _product,
     _require_int,
-    _series_quotient,
+    _times_binomial,
 )
 from .gamma import GammaSeq
 
 
-# _times_binomial takes |e| steps of one addition per entry in place of a
-# product with the binomial row while they number at most this many per
-# product.  Timed on Python 3.11 on a 2-core Intel Xeon host, inverse
-# steps on a short numerator took as long as the product near |e| = 4|p|.
-_STEPS_PER_PRODUCT = 4
-
 # A search for a short form that finds none may cost at most this fraction
 # of the work it falls back to, counted as in _take_form.
 _MISS_SHARE = 64
-
-
-def _binomials(n: int, size: int) -> list[int]:
-    """``C(n, 0), ..., C(n, size - 1)``, generalized binomials for n < 0,
-    built by ``C(n, j) = C(n, j-1) (n-j+1) / j``, each division exact.  A
-    row that ends within size, 0 <= n < size, is built to its middle and
-    mirrored."""
-    top = n // 2 if 0 <= n < size else size - 1
-    row = [1]
-    for j in range(1, top + 1):
-        row.append(row[-1] * (n - j + 1) // j)
-    if top < size - 1:
-        row += row[: n - top][::-1] + [0] * (size - n - 1)
-    return row
-
-
-def _product(a, b, order: int) -> list:
-    """Coefficients 0..order of the product of coefficient lists a and b,
-    one pass over b per term of a, so a should be the shorter."""
-    out = [0] * (order + 1)
-    for j, aj in enumerate(a[: order + 1]):
-        if aj:
-            m = min(len(b), order + 1 - j)
-            out[j : j + m] = map(add, out[j : j + m], map(mul, repeat(aj), b[:m]))
-    return out
-
-
-def _times_binomial(p, e: int, order: int) -> list:
-    """Coefficients 0..order of ``(1+x)^e p``, by |e| steps on p padded to
-    the order, |e| (order + 1) additions, or by the product with the
-    binomial row, |p| products per term of the row, whichever counts less
-    with a product weighed as _STEPS_PER_PRODUCT steps.  A forward step
-    adds the list to itself offset by one; an inverse step is a prefix sum
-    of the sign-alternated list ``(-1)^i c[i]``."""
-    size = order + 1 if e < 0 else min(order, e) + 1
-    if abs(e) * (order + 1) > _STEPS_PER_PRODUCT * len(p) * size:
-        return _product(p, _binomials(e, size), order)
-    c = [*p[: order + 1], *[0] * (order + 1 - len(p))]
-    if e < 0:
-        c[1::2] = map(neg, c[1::2])
-        for _ in range(-e):
-            c = list(accumulate(c))
-        c[1::2] = map(neg, c[1::2])
-    for _ in range(e):
-        # slice assignment consumes the map in full before it writes
-        c[1:] = map(add, c[1:], c)
-    return c
 
 
 def _divide_out(c, red) -> tuple[list, int]:
@@ -128,12 +78,6 @@ def _carried_cost(form) -> int:
     (2|C| + 5), with no search and no check."""
     num, den, _ = form
     return 2 * len(num) + 2 * len(den) + 10
-
-
-def _first_difference(a, b, start: int = 0):
-    """The first index, counted from ``start``, where lists a and b differ
-    within the shorter, or None."""
-    return next(compress(count(start), map(ne, a, b)), None)
 
 
 def _mismatch(num, den, e: int, s: GammaSeq, upto: int):
@@ -274,12 +218,6 @@ def _take_form(s: GammaSeq, fallback: int, search):
     return form
 
 
-def _shift_key(s: GammaSeq, n: int) -> tuple:
-    # the memo key of T^n s, for an s that carries or kept (P, C, e)
-    num, den, e = s._form
-    return _expansion_key(num, den, e + n, s.order)
-
-
 def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     """Apply the shift-plus-identity operator n times (entry k becomes
     ``s[k] + s[k-1]``).  Negative n inverts: the operator is a bijection
@@ -288,36 +226,30 @@ def apply_shift(s: GammaSeq, n: int) -> GammaSeq:
     truncation order is preserved.
 
     T^n multiplies the generating function by ``(1+x)^n``, so a form
-    ``(1+x)^e P/C = s`` shifts to ``(1+x)^(e+n) P/C``.  On an s with a
-    form, carried or kept, the result is first looked up under
-    ``(P, C, e + n, order)`` in the memo of the last two expansions
-    (:func:`~linkgamma.exactnum._expansion`), and whatever route computes
-    it keeps it there, so a sequence and a copy that kept its form expand
-    their common canonical form once.  Otherwise the form is taken
+    ``(1+x)^e P/C = s`` shifts to ``(1+x)^(e+n) P/C``.  The form is taken
     by :func:`_take_form` against a fallback of |n| per entry for the
     steps, or order + 4 for the binomial sum ``sum_j C(n, j) s[k-j]``,
     whose cost does not grow with n; :func:`_short_form` searches for it.
     Without one the entries are multiplied by ``(1+x)^n`` by
-    :func:`_times_binomial`, which takes the steps for |n| up to
-    4 (order + 1) and the binomial sum beyond.  No result rests on the
-    modular guess, and results carry no form."""
+    :func:`~linkgamma.exactnum._times_binomial`, which takes the steps for
+    |n| up to 4 (order + 1) and the binomial sum beyond.  On an s with a
+    form, the result is the memo's entry ``(1+x)^(e+n) P/C``
+    (:func:`~linkgamma.exactnum._expansion`), computed by the steps when
+    the form is dearer, so a sequence and a copy that kept its form expand
+    their common canonical form once.  No result rests on the modular
+    guess, and results carry no form."""
     _require_int(n, "shift count n")
     if not any(s.entries):
         return GammaSeq._built(s.entries)
     order = s.order
-    key = _shift_key(s, n) if s._form else None
-    entries = _expansion_kept(key)
-    if entries:
-        return GammaSeq._built(entries)
     form = _take_form(s, min(abs(n), order + 4), lambda limit: _short_form(s, n, limit))
-    if form:
-        num, den, e = form
-        entries = _series_quotient(_times_binomial(num, e + n, order), den, order)
-    else:
-        entries = _times_binomial(s.entries, n, order)
-    if s._form:
-        entries = _keep_expansion(key or _shift_key(s, n), entries)
-    return GammaSeq._built(entries)
+    if not s._form:
+        return GammaSeq._built(_times_binomial(s.entries, n, order))
+    # s carries or kept a form: taken, or dearer than the steps, which then
+    # compute the entries kept under its key
+    num, den, e = s._form
+    steps = None if form else lambda: _times_binomial(s.entries, n, order)
+    return GammaSeq._built(_expansion(num, den, e + n, order, steps))
 
 
 def _reflect(p, d: int) -> list:
@@ -359,8 +291,7 @@ def swap_seq(s: GammaSeq) -> GammaSeq:
     if form:
         num, den, f = form
         d = max([len(den) - 1] + [i for i, v in enumerate(num) if v])
-        return GammaSeq._built(_series_quotient(
-            _times_binomial(_reflect(num, d), -f, order), _reflect(den, d), order))
+        return GammaSeq._built(_expand(_reflect(num, d), _reflect(den, d), -f, order))
     out = [s.entries[0]]
     row = list(s.entries[1:])
     while row:

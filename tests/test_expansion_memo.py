@@ -1,9 +1,9 @@
-"""The memo of the last two expansions, ``exactnum._expansions``.
+"""The memo of the last two expansions, ``exactnum._expansion``.
 
 ``gamma_seq`` past its switch, ``series_expand_at_one`` and ``apply_shift``
-on a sequence with a form read and fill one memo keyed by
-``(order, e, P, C)``.  It only saves work: every result must be the same
-with a cold memo and with one that an equivalent sequence warmed."""
+on a sequence with a form read and fill it (its docstring has the key).  It
+only saves work: every result must be the same with a cold memo and with
+one that an equivalent sequence warmed."""
 
 import sys
 import threading
@@ -21,13 +21,14 @@ from linkgamma.gamma import (
     gen_presentation,
     h_closed_form,
 )
-from linkgamma.transforms import apply_shift
+from linkgamma.transforms import _carried_cost, apply_shift
 
 from test_transforms import POWERS_OF_TWO, binomial_shift
 
 
 def spy(monkeypatch):
-    # records every series quotient and every product by (1+x)^e
+    # records every series quotient and every product by (1+x)^e: the
+    # expansion's, through exactnum, and the shift's steps, through transforms
     calls = []
 
     def quotient(num, den, order):
@@ -38,9 +39,9 @@ def spy(monkeypatch):
         calls.append("binomial")
         return times_binomial_(p, e, order)
 
-    series_quotient, times_binomial_ = exactnum._series_quotient, transforms._times_binomial
+    series_quotient, times_binomial_ = exactnum._series_quotient, exactnum._times_binomial
     monkeypatch.setattr(exactnum, "_series_quotient", quotient)
-    monkeypatch.setattr(transforms, "_series_quotient", quotient)
+    monkeypatch.setattr(exactnum, "_times_binomial", times_binomial)
     monkeypatch.setattr(transforms, "_times_binomial", times_binomial)
     return calls
 
@@ -53,6 +54,11 @@ def test_h_expands_what_gamma_seq_just_expanded(monkeypatch):
     assert h.den(1) == -1
     s = gamma_seq(p, 1000)
     calls = spy(monkeypatch)
+    kept, exactnum._expansions = exactnum._expansions, ()
+    assert series_expand_at_one(h, 1000).coeffs == s.entries
+    assert calls == ["binomial", "quotient"]  # cold: the spy sees the expansion
+    calls.clear()
+    exactnum._expansions = kept
     expansion = series_expand_at_one(h, 1000)
     assert calls == []
     assert expansion.coeffs == s.entries
@@ -66,8 +72,11 @@ def test_the_second_canonical_form_of_a_class_expands_nothing(monkeypatch):
         assert are_equivalent(s, copy) == EquivVerdict.equivalent(m)
         assert copy._form is not None  # kept from s's form
         for first, second in ((s, copy), (copy, s)):
-            rep, n = canonicalize(first)
             calls = spy(monkeypatch)
+            exactnum._expansions = ()
+            rep, n = canonicalize(first)
+            assert calls  # cold, the first call expands, and the spy sees it
+            calls.clear()
             rep_2, n_2 = canonicalize(second)
             monkeypatch.undo()
             assert calls == []
@@ -76,17 +85,34 @@ def test_the_second_canonical_form_of_a_class_expands_nothing(monkeypatch):
             assert rep.entries == binomial_shift(first.entries, n)
 
 
+def test_a_declined_form_keeps_its_steps_for_a_copy(monkeypatch):
+    # s's form counts 38 per entry, more than a shift by 5: that shift takes
+    # the steps and keeps them under (P, C, 5).  A copy T^50 s that kept s's
+    # form asks for the same key at -45 and reads them.  The verdict comes
+    # first, since its two shifts fill both slots of the memo
+    s = gamma_seq(gen_presentation(1, 3, 3), 300)
+    assert _carried_cost(s._form) == 38
+    copy = GammaSeq(binomial_shift(s.entries, 50))
+    assert are_equivalent(s, copy) == EquivVerdict.equivalent(50)
+    calls = spy(monkeypatch)
+    assert apply_shift(s, 5).entries == binomial_shift(s.entries, 5)
+    assert calls == ["binomial"]
+    calls.clear()
+    assert apply_shift(copy, -45).entries == binomial_shift(s.entries, 5)
+    assert calls == []
+
+
 def test_one_form_at_two_orders_shares_nothing(monkeypatch):
     p = gen_presentation(1, 2, 3)
     s = gamma_seq(p, 600)
     calls = spy(monkeypatch)
     longer = gamma_seq(p, 601)
-    assert calls == ["quotient"]
+    assert calls == ["binomial", "quotient"]
     assert longer.entries[:601] == s.entries
     calls.clear()
     assert series_expand_at_one(h_closed_form(p), 600).coeffs == s.entries
     assert series_expand_at_one(h_closed_form(p), 599).coeffs == s.entries[:600]
-    assert calls == ["quotient"]
+    assert calls == ["binomial", "quotient"]
 
 
 def test_at_most_two_expansions_are_kept():

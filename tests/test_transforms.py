@@ -19,11 +19,11 @@ from linkgamma.gamma import (
     prepare,
 )
 from linkgamma.polylin import charpoly, det, identity, mat_mul, transpose
-from linkgamma import transforms
+from linkgamma import exactnum, transforms
 from linkgamma.equivalence import are_equivalent, canonicalize
+from linkgamma.exactnum import _STEPS_PER_PRODUCT
 from linkgamma.transforms import (
     _MISS_SHARE,
-    _STEPS_PER_PRODUCT,
     _carried_cost,
     apply_shift,
     beta_from_gamma,
@@ -106,8 +106,8 @@ def test_a_short_numerator_times_a_negative_power_matches_the_row(p, data, order
         edge = steps_switch(p, order, sign)
         es += [sign * a for a in (edge - 1, edge, edge + 1) if a >= 0]
     for e in es:
-        row = transforms._product(p, transforms._binomials(e, order + 1), order)
-        assert transforms._times_binomial(p, e, order) == row
+        row = exactnum._product(p, exactnum._binomials(e, order + 1), order)
+        assert exactnum._times_binomial(p, e, order) == row
 
 
 def binomial_shift(e, n):
@@ -205,7 +205,8 @@ def test_shift_takes_each_route(monkeypatch):
     # records which search found a form, "tail" for the one on the input's
     # last entries and "result" for the one on the result's leading
     # entries, None for searches that found none, and "sum" for the
-    # binomial row's product with the entries
+    # binomial row's product with the entries, which _times_binomial takes
+    # through exactnum's namespace
     routes = []
 
     def recording(s, n, limit):
@@ -232,11 +233,11 @@ def test_shift_takes_each_route(monkeypatch):
         return product_(a, b, order)
 
     short_form, form_search = transforms._short_form, transforms._form_search
-    tail_search, product_ = transforms._tail_search, transforms._product
+    tail_search, product_ = transforms._tail_search, exactnum._product
     monkeypatch.setattr(transforms, "_short_form", recording)
     monkeypatch.setattr(transforms, "_form_search", searching)
     monkeypatch.setattr(transforms, "_tail_search", tailing)
-    monkeypatch.setattr(transforms, "_product", product)
+    monkeypatch.setattr(exactnum, "_product", product)
     # without the form gamma_seq attaches, which would take the place of the search
     s = GammaSeq(gamma_seq(gen_presentation(3, 2, 3), 300).entries)
     copy = GammaSeq(binomial_shift(s.entries, 200))
@@ -311,8 +312,7 @@ def test_short_form_divides_out_powers_of_one_plus_x():
     copy = GammaSeq(binomial_shift(s.entries, 500))
     num, den, e = transforms._short_form(copy, -580, 100)
     assert (len(den), e) == (5, 500)
-    assert (transforms._series_quotient(transforms._times_binomial(num, e - 580, 600), den, 600)
-            == list(binomial_shift(copy.entries, -580)))
+    assert exactnum._expand(num, den, e - 580, 600) == list(binomial_shift(copy.entries, -580))
 
 
 def stepped(entries, n):
@@ -348,6 +348,11 @@ def test_a_leading_zero_pays_no_check_of_the_zero_form(monkeypatch):
         s = GammaSeq(entries)  # form-free on each call, so the shift searches
         assert apply_shift(s, n).entries == stepped(entries, n)
         assert [upto for num, upto in checks if not num] == []
+    # the swap's search on the leading entries checks its form, and the spy
+    # sees that check
+    checks.clear()
+    assert swap_seq(GammaSeq(entries)).entries == pascal_swap(entries)
+    assert checks and [upto for num, upto in checks if not num] == []
 
 
 @contextmanager
@@ -406,11 +411,16 @@ def test_zeros_shift_and_swap_to_zeros(order):
 
 
 def test_zeros_shift_without_a_binomial_row_through_the_order(monkeypatch):
-    # a sequence of zeros is its own shift: no search, and no binomial row
+    # a sequence of zeros is its own shift: no search, and no binomial row,
+    # where a nonzero one takes the row's product past 4 (order + 1) steps
     sizes = []
-    binomials = transforms._binomials
-    monkeypatch.setattr(transforms, "_binomials",
-                        lambda n, size: sizes.append(size) or binomials(n, size))
+    binomials = exactnum._binomials
+    for namespace in (exactnum, transforms):  # the shift's product, the search's row
+        monkeypatch.setattr(namespace, "_binomials",
+                            lambda n, size: sizes.append(size) or binomials(n, size))
+    assert apply_shift(GammaSeq((1, 2, 3)), 5000).entries == binomial_shift((1, 2, 3), 5000)
+    assert sizes == [3]
+    sizes.clear()
     zeros = GammaSeq((0,) * 3001)
     for n in (5000, -15000):
         assert apply_shift(zeros, n) == zeros
@@ -643,6 +653,10 @@ def test_a_carried_form_is_never_searched_past(monkeypatch, genus):
                                 swap_seq(GammaSeq(entries)).entries)
     monkeypatch.setattr(transforms, "_short_form", refuse)
     monkeypatch.setattr(transforms, "_form_search", refuse)
+    for search in (lambda: apply_shift(GammaSeq(s.entries), ns[1]),
+                   lambda: swap_seq(GammaSeq(s.entries))):
+        with pytest.raises(AssertionError, match="searched past"):
+            search()  # a form-free copy searches
     for order in range(401):
         carried = GammaSeq._built(s.entries[: order + 1], s._form)
         kept = GammaSeq(copy[: order + 1])
@@ -674,8 +688,7 @@ def test_form_search_ends_after_its_form():
     assert ran_in_turn(ran, "yield num, den, f", "return")
     num, den, f = steps[-1]
     assert steps[:-1] == [None] * (len(steps) - 1)
-    expanded = transforms._series_quotient(transforms._times_binomial(num, f, 100), den, 100)
-    assert expanded == list(s.entries)
+    assert exactnum._expand(num, den, f, 100) == list(s.entries)
 
 
 def swap_limit(order):
@@ -774,7 +787,10 @@ def test_swap_at_genus_twelve_takes_the_table(monkeypatch):
     assert swapped == table_swap(monkeypatch, s)
     for k in (1, order // 2, order):
         assert swapped.entries[k] == mixed_gamma0(s, 0, k)
-    # the carried form is never lifted: it swaps with no search
+    # the carried form is never lifted: it swaps with no search, where a
+    # form-free copy searches again
+    with pytest.raises(AssertionError, match="the swap searched"):
+        unsearched_swap(monkeypatch, GammaSeq(s.entries))
     assert unsearched_swap(monkeypatch, s) == swapped
 
 
